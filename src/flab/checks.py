@@ -563,7 +563,10 @@ def parse_partition(text: str) -> list[tuple[frozenset[int], bool]]:
         body = part.strip()
         if not (body.startswith("{") and body.endswith("}")):
             raise SpecParseError(f"bad partition block {part!r}")
-        primes = frozenset(int(tok) for tok in body[1:-1].split(",") if tok.strip())
+        try:
+            primes = frozenset(int(tok) for tok in body[1:-1].split(",") if tok.strip())
+        except ValueError as exc:
+            raise SpecParseError(f"bad partition block {part!r}") from exc
         if seen & primes:
             raise SpecParseError("partition blocks must be disjoint")
         seen |= primes

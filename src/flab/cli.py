@@ -77,33 +77,45 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+class UsageError(FlabError):
+    """Bad command-line input other than an expression: a setting or a path."""
+
+
 def _default_max_order(args) -> int | None:
     if args.max_order is not None:
         return args.max_order
     env = os.environ.get("FLAB_MAX_ORDER")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"FLAB_MAX_ORDER must be an integer, got {env!r}") from None
     return None
 
 
 def _cmd_verify(args) -> int:
+    # parse every option before any group is built
+    if args.check != "all" and args.check not in CHECKS:
+        raise SpecParseError(f"unknown check {args.check!r}; choose from {sorted(CHECKS)} or 'all'")
+    params: dict = {}
+    if args.formation:
+        params["formation"] = parse_formation(args.formation)
+    if args.partition:
+        params["partition"] = parse_partition(args.partition)
+    if args.sigma:
+        params["sigma"] = _SIGMA[args.sigma]
     max_order = _default_max_order(args)
     if args.corpus == "builtin":
         corpus = build_corpus(max_order)
     else:
-        corpus = load_corpus_file(args.corpus, max_order)
+        try:
+            corpus = load_corpus_file(args.corpus, max_order)
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or "not a text file"
+            raise UsageError(f"cannot read corpus file {args.corpus!r}: {reason}") from None
     if args.check == "all":
         reports = default_suite(corpus)
     else:
-        if args.check not in CHECKS:
-            raise SpecParseError(f"unknown check {args.check!r}; choose from {sorted(CHECKS)} or 'all'")
-        params: dict = {}
-        if args.formation:
-            params["formation"] = parse_formation(args.formation)
-        if args.partition:
-            params["partition"] = parse_partition(args.partition)
-        if args.sigma:
-            params["sigma"] = _SIGMA[args.sigma]
         reports = [run_check(args.check, params, corpus)]
     failed = False
     for report in reports:
@@ -139,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_verify(args)
         if args.command == "lattice":
             return _cmd_lattice(args)
-    except SpecParseError as exc:
+    except (SpecParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FlabError as exc:

@@ -815,15 +815,12 @@ def _parse_word(word: str, N: Group) -> Permutation:
     result = ident
     for factor in word.split("*"):
         factor = factor.strip()
-        if "^" in factor:
-            base, _, exp = factor.partition("^")
-            power = int(exp)
-        else:
-            base, power = factor, 1
+        base, caret, exp = factor.partition("^")
         if not base.startswith("n"):
             raise SpecParseError(f"bad action factor {factor!r}")
         try:
             gi = int(base[1:])
+            power = int(exp) if caret else 1
         except ValueError as exc:
             raise SpecParseError(f"bad action factor {factor!r}") from exc
         if not 0 <= gi < len(N.generators):
@@ -848,7 +845,10 @@ def _parse_action(text: str, N: Group, H: Group) -> list[list[Permutation]]:
             lhs = lhs.strip()
             if not lhs.startswith("n"):
                 raise SpecParseError(f"bad action assignment {assignment!r}")
-            gi = int(lhs[1:])
+            try:
+                gi = int(lhs[1:])
+            except ValueError as exc:
+                raise SpecParseError(f"bad action assignment {assignment!r}") from exc
             if not 0 <= gi < len(N.generators):
                 raise SpecParseError(f"no generator n{gi} in the normal factor")
             if gi in images:
@@ -871,7 +871,10 @@ def _parse_atom(text: str) -> Group:
         p_str, sep, k_str = body.partition("^")
         if not sep:
             raise SpecParseError(f"bad elementary-abelian spec {text!r}")
-        p, k = int(p_str), int(k_str)
+        try:
+            p, k = int(p_str), int(k_str)
+        except ValueError as exc:
+            raise SpecParseError(f"bad elementary-abelian spec {text!r}") from exc
         if not _is_prime(p):
             raise SpecParseError(f"{p} is not prime in {text!r}")
         return elementary_abelian(p, k)

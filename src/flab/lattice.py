@@ -74,6 +74,27 @@ class SubgroupLattice:
         return [self.refs[j] for j in self.classes[self.class_id[i]]]
 
 
+def _cyclic_subgroups(G: Group) -> dict[int, int]:
+    """Mask of each nontrivial cyclic subgroup -> its lowest-index generator.
+
+    Elements are scanned in index order; once <x> is found, every generator
+    of it (an element of <x> of the same order) is skipped.
+    """
+    e = G.identity_idx
+    out: dict[int, int] = {}
+    covered = 1 << e
+    for x in range(G.order):
+        if (covered >> x) & 1:
+            continue
+        m = closure_mask(G, [x])
+        o = G.elt_order(x)
+        out[m] = x
+        for y in bits(m):
+            if G.elt_order(y) == o:
+                covered |= 1 << y
+    return out
+
+
 def _enumerate_subgroups(G: Group) -> list[int]:
     """Masks of all subgroups of G."""
     G.elements()
@@ -84,19 +105,10 @@ def _enumerate_subgroups(G: Group) -> list[int]:
     largest_proper = max(divisors) if divisors else 1
 
     # seed: all cyclic subgroups; atoms: the prime-power ones
-    cyclic_masks: dict[int, int] = {}
-    atoms: list[tuple[int, int]] = []  # (mask, generator index)
-    atom_masks: set[int] = set()
-    for x in range(n):
-        if x == e:
-            continue
-        m = closure_mask(G, [x])
-        if m not in cyclic_masks:
-            cyclic_masks[m] = x
-            o = G.elt_order(x)
-            if len(prime_factors(o)) == 1 and m not in atom_masks:
-                atom_masks.add(m)
-                atoms.append((m, x))
+    cyclic_masks = _cyclic_subgroups(G)
+    atoms = [  # (mask, generator index)
+        (m, x) for m, x in cyclic_masks.items() if len(prime_factors(G.elt_order(x))) == 1
+    ]
 
     found: set[int] = {1 << e}
     rep_gens: dict[int, tuple[int, ...]] = {}
@@ -129,7 +141,7 @@ def _enumerate_subgroups(G: Group) -> list[int]:
             joins += 1
             if joins > config.LATTICE_JOIN_BUDGET:
                 raise LatticeBudgetExceeded("join budget exhausted")
-            joined = closure_mask(G, list(gens) + [agen], stop_above=largest_proper)
+            joined = closure_mask(G, list(gens) + [agen], stop_above=largest_proper, base=rep)
             add_class(joined, tuple(sorted(set(gens) | {agen})))
     return sorted(found, key=lambda m: (m.bit_count(), m))
 

@@ -8,7 +8,6 @@ the ambient group's elements (and usually its multiplication table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotASubgroup
@@ -27,13 +26,28 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
-@dataclass(frozen=True)
 class SubgroupRef:
-    """A subgroup of ``ambient`` as an element-index bitmask plus generators."""
+    """A subgroup of ``ambient`` as an element-index bitmask plus generators.
 
-    ambient: Group
-    mask: int
-    gen_idxs: tuple[int, ...]
+    ``gen_idxs`` may be passed in (any generating set the caller already has)
+    or left as ``None``; it is then computed by :func:`gens_for_mask` on first
+    read and cached.  Equality and hashing use the ambient group and the mask
+    only, so they do not depend on whether the generators exist yet.
+    """
+
+    __slots__ = ("ambient", "mask", "_gen_idxs")
+
+    def __init__(self, ambient: Group, mask: int, gen_idxs: tuple[int, ...] | None = None):
+        self.ambient = ambient
+        self.mask = mask
+        self._gen_idxs = gen_idxs
+
+    @property
+    def gen_idxs(self) -> tuple[int, ...]:
+        gens = self._gen_idxs
+        if gens is None:
+            gens = self._gen_idxs = gens_for_mask(self.ambient, self.mask)
+        return gens
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -79,70 +93,130 @@ class SubgroupRef:
 # ---------------------------------------------------------------------------
 
 
-def closure_mask(G: Group, seed_idxs: Iterable[int], stop_above: int | None = None) -> int:
+class _PermRow:
+    """Right multiplication by one element, for groups without a table.
+
+    ``row[x]`` is the index of ``elements[x] * elements[r]``, as in the dense
+    table, at the cost of one permutation product per entry.
+    """
+
+    __slots__ = ("_elems", "_idx", "_perm")
+
+    def __init__(self, G: Group, r: int):
+        self._elems = G.elements()
+        self._idx = G.element_index()
+        self._perm = self._elems[r]
+
+    def __getitem__(self, x: int) -> int:
+        return self._idx[self._elems[x] * self._perm]
+
+
+def _row_getter(G: Group):
+    """``row_of(r)[x]`` is the index of elements[x] * elements[r]."""
+    if G._ensure_table():
+        return G._table.__getitem__
+    return lambda r: _PermRow(G, r)
+
+
+# flag bytes -> binary digits, for reading a flag array back as a mask
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def closure_mask(
+    G: Group,
+    seed_idxs: Iterable[int],
+    stop_above: int | None = None,
+    base: int | None = None,
+) -> int:
     """Bitmask of the subgroup generated by the given element indices.
 
-    If ``stop_above`` is given and the closure grows past it, returns the full
-    group mask immediately (caller guarantees the bound, e.g. the largest
-    proper divisor of |G|).
+    Dimino's algorithm: the first seed's cyclic group is walked power by
+    power; each further seed outside the current subgroup H is adjoined one
+    right coset ``H·r`` at a time, checking closure only on coset
+    representatives times generators.
+
+    If ``stop_above`` is given and the closure's order passes it, returns the
+    full group mask as soon as that is seen (caller guarantees the bound,
+    e.g. the largest proper divisor of |G|).  If ``base`` is given it is the
+    mask of a subgroup that is already closed; the seeds that lie inside it
+    are taken as its generators, and the caller guarantees that they
+    generate it.
     """
     e = G.identity_idx
-    mask = 1 << e
-    members = [e]
-    seeds = []
-    for i in seed_idxs:
-        if not (mask >> i) & 1:
-            mask |= 1 << i
-            members.append(i)
-            seeds.append(i)
-    if not seeds:
+    mask = 1 << e if base is None else base
+    gens: list[int] = []
+    new: list[int] = []
+    for s in seed_idxs:
+        if (mask >> s) & 1:
+            if s != e:
+                gens.append(s)
+        else:
+            new.append(s)
+    n = G.order
+    if not new:
+        if stop_above is not None and mask.bit_count() > stop_above:
+            return (1 << n) - 1
         return mask
-    table = G._table if G._ensure_table() else None
-    frontier = list(members)
-    count = len(members)
-    if table is not None:
-        rows = [table[s] for s in seeds]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for row in rows:
-                    y = row[x]
-                    if not (mask >> y) & 1:
-                        mask |= 1 << y
-                        nxt.append(y)
-                        count += 1
-            if stop_above is not None and count > stop_above:
-                return (1 << G.order) - 1
-            frontier = nxt
-        return mask
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in seeds:
-                y = G.mul(x, s)
-                if not (mask >> y) & 1:
-                    mask |= 1 << y
-                    nxt.append(y)
-                    count += 1
-        if stop_above is not None and count > stop_above:
-            return (1 << G.order) - 1
-        frontier = nxt
-    return mask
+    row_of = _row_getter(G)
+    members = list(bits(mask))  # the current subgroup
+    inside = bytearray(n)  # inside[x] == 1 iff x is in it
+    for x in members:
+        inside[x] = 1
+    for s in new:
+        if inside[s]:
+            continue
+        gens.append(s)
+        if len(members) == 1:
+            # the cyclic group <s>, one power at a time
+            row = row_of(s)
+            x = s
+            while x != e:
+                inside[x] = 1
+                members.append(x)
+                x = row[x]
+            if stop_above is not None and len(members) > stop_above:
+                return (1 << n) - 1
+            continue
+        H = members[:]
+        gen_rows = [row_of(g) for g in gens]
+        reps = [s]
+        for r in reps:  # grows as new cosets are found; repeats are skipped
+            if inside[r]:
+                continue
+            row = row_of(r)
+            coset = [row[h] for h in H]
+            for y in coset:
+                inside[y] = 1
+            members += coset
+            if stop_above is not None and len(members) > stop_above:
+                return (1 << n) - 1
+            for grow in gen_rows:
+                y = grow[r]
+                if not inside[y]:
+                    reps.append(y)
+    return int(inside.translate(_BIT_DIGITS)[::-1], 2)
 
 
 def gens_for_mask(G: Group, mask: int) -> tuple[int, ...]:
-    """A small deterministic generating set for the subgroup with this mask."""
+    """A small deterministic generating set for the subgroup with this mask.
+
+    Greedy: repeatedly adjoin the lowest-index element of maximal order not
+    yet generated, growing the generated subgroup one step at a time.
+    """
     e = G.identity_idx
     if mask == 1 << e:
         return ()
+    order = G.elt_order
+    candidates = sorted(bits(mask & ~(1 << e)), key=lambda i: (-order(i), i))
     gens: list[int] = []
     have = 1 << e
-    # greedy: repeatedly adjoin the lowest-index element of maximal order
-    while have != mask:
-        candidates = [i for i in bits(mask & ~have)]
-        pick = max(candidates, key=lambda i: (G.elt_order(i), -i))
-        gens.append(pick)
-        have = closure_mask(G, gens)
+    for c in candidates:
+        if (have >> c) & 1:
+            continue
+        gens.append(c)
+        have = closure_mask(G, gens, base=have)
+        if have == mask:
+            break
     return tuple(sorted(gens))
 
 
@@ -153,9 +227,8 @@ def subgroup_from_idxs(G: Group, idxs: Sequence[int]) -> SubgroupRef:
 
 
 def subgroup_from_mask(G: Group, mask: int, gen_idxs: Sequence[int] | None = None) -> SubgroupRef:
-    if gen_idxs is None:
-        gen_idxs = gens_for_mask(G, mask)
-    return SubgroupRef(G, mask, tuple(gen_idxs))
+    """The subgroup with this mask; without ``gen_idxs`` they are built on first read."""
+    return SubgroupRef(G, mask, None if gen_idxs is None else tuple(gen_idxs))
 
 
 def trivial_subgroup(G: Group) -> SubgroupRef:
@@ -341,7 +414,7 @@ def join(A: SubgroupRef, B: SubgroupRef) -> SubgroupRef:
         return A
     if A.mask & ~B.mask == 0:
         return B
-    mask = closure_mask(A.ambient, list(A.gen_idxs) + list(B.gen_idxs))
+    mask = closure_mask(A.ambient, A.gen_idxs + B.gen_idxs, base=A.mask)
     return subgroup_from_mask(A.ambient, mask)
 
 
@@ -408,7 +481,7 @@ def sylow_subgroup(X: Group | SubgroupRef, p: int) -> SubgroupRef:
                 # xp = x^m via index powering
                 xp = _idx_pow(G, x, m)
                 if not (current.mask >> xp) & 1:
-                    new_mask = closure_mask(G, list(current.gen_idxs) + [xp])
+                    new_mask = closure_mask(G, (*current.gen_idxs, xp), base=current.mask)
                     if new_mask.bit_count() == current.order * p:
                         current = subgroup_from_mask(G, new_mask, tuple(sorted((*current.gen_idxs, xp))))
                         grown = True
@@ -486,8 +559,20 @@ def normal_closure_mask(X: SubgroupRef, seed_idxs: Iterable[int]) -> int:
     return closure_mask(G, sorted(seeds))
 
 
+def _normal_product_mask(row_of, a: int, b: int) -> int:
+    """The product AB = union of the cosets Bx, x in A, for B normal: O(|AB|)."""
+    out = b
+    b_elts = list(bits(b))
+    for x in bits(a):
+        if not (out >> x) & 1:
+            row = row_of(x)
+            for y in b_elts:
+                out |= 1 << row[y]
+    return out
+
+
 def normal_subgroup_masks(X: Group | SubgroupRef) -> tuple[int, ...]:
-    """All X-normal subgroups of X as masks (join closure of element closures)."""
+    """All X-normal subgroups of X as masks: normal closures of classes, closed under products."""
     X = as_ref(X)
     G = X.ambient
     if X.is_full and G._normal_masks is not None:
@@ -517,6 +602,7 @@ def normal_subgroup_masks(X: Group | SubgroupRef) -> tuple[int, ...]:
         seen_elts |= orbit_mask
         atoms.add(closure_mask(G, orbit))
     result = {1 << e} | atoms
+    row_of = _row_getter(G)
     frontier = sorted(atoms)
     while frontier:
         nxt = []
@@ -524,7 +610,7 @@ def normal_subgroup_masks(X: Group | SubgroupRef) -> tuple[int, ...]:
             for b in sorted(result):
                 if a | b in result:
                     continue
-                joined = closure_mask(G, list(bits(a | b)))
+                joined = _normal_product_mask(row_of, a, b)
                 if joined not in result:
                     result.add(joined)
                     nxt.append(joined)

@@ -162,3 +162,68 @@ def _smallest_prime_factor(n: int) -> int:
             return d
         d += 1
     return n
+
+
+# ---------------------------------------------------------------------------
+# Reference index-level kernels.  These keep the plain algorithms that the
+# library's closure kernel replaced; products go through Permutation objects
+# and the element list, never through the multiplication table.
+# ---------------------------------------------------------------------------
+
+
+def closure_mask_bfs(G, seed_idxs, stop_above=None) -> int:
+    """Mask of <seeds> by breadth-first search over right multiplication."""
+    elems = G.elements()
+    index = G.element_index()
+    e = G.identity_idx
+    mask = 1 << e
+    frontier = [e]
+    seeds = []
+    for i in seed_idxs:
+        if not (mask >> i) & 1:
+            mask |= 1 << i
+            frontier.append(i)
+            seeds.append(i)
+    if not seeds:
+        return mask
+    count = len(frontier)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in seeds:
+                y = index[elems[x] * elems[s]]
+                if not (mask >> y) & 1:
+                    mask |= 1 << y
+                    nxt.append(y)
+                    count += 1
+        if stop_above is not None and count > stop_above:
+            return (1 << G.order) - 1
+        frontier = nxt
+    return mask
+
+
+def gens_for_mask_maxscan(G, mask: int) -> tuple[int, ...]:
+    """Greedy generators: adjoin the lowest-index element of maximal order
+    not yet generated, re-closing from scratch after every pick."""
+    e = G.identity_idx
+    if mask == 1 << e:
+        return ()
+    elems = G.elements()
+    gens: list[int] = []
+    have = 1 << e
+    while have != mask:
+        candidates = [i for i in range(G.order) if (mask >> i) & 1 and not (have >> i) & 1]
+        pick = max(candidates, key=lambda i: (elems[i].order(), -i))
+        gens.append(pick)
+        have = closure_mask_bfs(G, gens)
+    return tuple(sorted(gens))
+
+
+def normal_subgroups_bf(G) -> set[frozenset[Permutation]]:
+    """All normal subgroups of a group whose subgroups are all soluble."""
+    elems = elements_of(G)
+    return {
+        H
+        for H in subgroups_by_cyclic_extension(G)
+        if all(h.conjugate(g) in H for g in elems for h in H)
+    }

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from flab.cli import main
 
 
@@ -118,3 +120,51 @@ def test_reports_byte_identical_across_processes():
     assert runs[0].returncode == runs[1].returncode == 0, [r.stderr for r in runs if r.returncode]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--group", "E(2^x)"],
+        ["analyze", "--group", "sd(C3,C2,nx->n0)"],
+        ["analyze", "--group", "sd(C3,C2,n0->n0^y)"],
+        ["verify", "--partition", "{2,x}"],
+        ["verify", "--check", "theorem-a", "--partition", "{2,x}"],
+    ],
+)
+def test_bad_expression_exits_2_with_one_error_line(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_bad_partition_rejected_before_corpus_is_built(monkeypatch, capsys):
+    import flab.cli
+
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("corpus built before the options were parsed")
+
+    monkeypatch.setattr(flab.cli, "build_corpus", no_corpus)
+    assert main(["verify", "--partition", "{2,x}"]) == 2
+    assert main(["verify", "--formation", "Gpi{2,x}"]) == 2
+
+
+def test_non_integer_max_order_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("FLAB_MAX_ORDER", "abc")
+    code = main(["verify", "--check", "baer-a1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: FLAB_MAX_ORDER must be an integer, got 'abc'\n"
+
+
+def test_unreadable_corpus_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "nonexistent"
+    code = main(["verify", "--corpus", str(missing)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot read corpus file") and err.count("\n") == 1
+    code = main(["verify", "--corpus", str(tmp_path)])  # a directory
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: cannot read corpus file")
