@@ -97,6 +97,10 @@ def _cmd_verify(args) -> int:
     # parse every option before any group is built
     if args.check != "all" and args.check not in CHECKS:
         raise SpecParseError(f"unknown check {args.check!r}; choose from {sorted(CHECKS)} or 'all'")
+    if args.check == "all":
+        given = [f"--{name}" for name in ("formation", "partition", "sigma") if getattr(args, name)]
+        if given:
+            raise UsageError(f"--check all takes no {', '.join(given)}; name a single check to set it")
     params: dict = {}
     if args.formation:
         params["formation"] = parse_formation(args.formation)

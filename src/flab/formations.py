@@ -37,6 +37,7 @@ from .subgroups import (
     prime_factors,
     subgroup_from_mask,
     subgroup_to_group,
+    translate_mask,
 )
 
 
@@ -354,15 +355,7 @@ def _quotient_member(F: FormationExpr, X: SubgroupRef, normal_mask: int) -> bool
     if normal_mask == X.mask:
         return True  # trivial quotient is in every catalog class
     sub = subgroup_to_group(X)
-    G = X.ambient
-    if sub is G:
-        sub_mask = normal_mask
-    else:
-        # translate the mask into the subgroup's own element indexing
-        trans = {i: sub.idx_of(G.perm_at(i)) for i in bits(X.mask)}
-        sub_mask = 0
-        for i in bits(normal_mask):
-            sub_mask |= 1 << trans[i]
+    sub_mask = translate_mask(X, normal_mask)
     from .subgroups import gens_for_mask
 
     qm = quotient(sub, sub_mask, gens_for_mask(sub, sub_mask))
@@ -482,16 +475,8 @@ def local_def_member(F: FormationExpr, p: int, X: Group | SubgroupRef) -> bool:
     # supersoluble: X / O_p(X) abelian of exponent dividing p - 1
     from .subgroups import o_pi
 
-    G = X.ambient
-    op = o_pi(X, [p])
     sub = subgroup_to_group(X)
-    if sub is not G:
-        trans = {i: sub.idx_of(G.perm_at(i)) for i in bits(X.mask)}
-        op_mask = 0
-        for i in bits(op.mask):
-            op_mask |= 1 << trans[i]
-    else:
-        op_mask = op.mask
+    op_mask = translate_mask(X, o_pi(X, [p]).mask)
     from .subgroups import gens_for_mask
 
     qm = quotient(sub, op_mask, gens_for_mask(sub, op_mask))

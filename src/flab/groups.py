@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from . import config
@@ -173,7 +174,6 @@ class Group:
         self._index: dict[Permutation, int] | None = None
         self._identity_idx: int | None = None
         self._table: list[array] | None = None
-        self._table_built = False
         self._inv: array | None = None
         self._elt_orders: array | None = None
         self._conj_rows: dict[int, array] = {}
@@ -265,7 +265,8 @@ class Group:
 
         Row ``r_g`` satisfies ``r_g[x] == index(elem[x] * elem[g])``; rows for
         products compose as index arrays, so the whole table costs O(|G|^2)
-        array lookups after the generator rows.
+        array lookups after the generator rows.  The inverse map is built
+        alongside, with the same typecode.
         """
         elems = self.elements()
         n = len(elems)
@@ -292,28 +293,28 @@ class Group:
                         rows[b] = array(typecode, (rg[x] for x in ra))
                         nxt.append(b)
             frontier = nxt
-        self._table = rows  # type: ignore[assignment]
         self._inv = array(typecode, (idx[p.inverse()] for p in elems))
-        self._table_built = True
+        self._table = rows  # type: ignore[assignment]
 
-    def _ensure_table(self) -> bool:
-        if not self._table_built and self.order <= config.MUL_TABLE_CAP:
+    @property
+    def table(self) -> list[array]:
+        """The multiplication table: ``table[j][i]`` is the index of elements[i] * elements[j].
+
+        Built on first use for every enumerated group; at the element cap
+        (order 2000) it holds 2000 rows of 2000 two-byte entries, about 8 MB.
+        """
+        if self._table is None:
             self._build_table()
-        return self._table is not None
+        return self._table  # type: ignore[return-value]
 
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j]."""
-        if self._ensure_table():
-            return self._table[j][i]  # type: ignore[index]
-        return self.idx_of(self.perm_at(i) * self.perm_at(j))
+        return self.table[j][i]
 
     def inv(self, i: int) -> int:
         if self._inv is None:
-            elems = self.elements()
-            idx = self.element_index()
-            typecode = "h" if len(elems) < 32768 else "l"
-            self._inv = array(typecode, (idx[p.inverse()] for p in elems))
-        return self._inv[i]
+            self._build_table()
+        return self._inv[i]  # type: ignore[index]
 
     def conj(self, h: int, g: int) -> int:
         """Index of g^-1 * h * g."""
@@ -323,16 +324,12 @@ class Group:
         """Conjugation by g as an index map (cached)."""
         row = self._conj_rows.get(g)
         if row is None:
-            n = self.order
-            typecode = "h" if n < 32768 else "l"
-            ginv = self.inv(g)
-            if self._ensure_table():
-                table = self._table
-                assert table is not None
-                rg = table[g]
-                row = array(typecode, (rg[table[x][ginv]] for x in range(n)))
-            else:
-                row = array(typecode, (self.conj(x, g) for x in range(n)))
+            table = self.table
+            inv = self._inv
+            assert inv is not None
+            rg = table[g]
+            ginv = inv[g]
+            row = array(inv.typecode, (rg[tx[ginv]] for tx in table))
             self._conj_rows[g] = row
         return row
 
@@ -779,20 +776,22 @@ def quotient(G: Group, normal_mask: int, normal_gen_idxs: Sequence[int]) -> Quot
 
 
 def _split_top_level(text: str, sep: str) -> list[str]:
+    """Split text at each occurrence of sep outside brackets."""
     parts = []
     depth = 0
-    current = []
-    for ch in text:
+    start = i = 0
+    while i < len(text):
+        ch = text[i]
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
+        elif depth == 0 and text.startswith(sep, i):
+            parts.append(text[start:i])
+            i = start = i + len(sep)
+            continue
+        i += 1
+    parts.append(text[start:])
     return parts
 
 
@@ -860,90 +859,133 @@ def _parse_action(text: str, N: Group, H: Group) -> list[list[Permutation]]:
     return action
 
 
-def _parse_atom(text: str) -> Group:
+def _split_atom(text: str) -> tuple:
+    """An atom spec as ``(kind, *arguments)``, numbers parsed; nothing is built."""
     text = text.strip()
-    if text == "Q8":
-        return quaternion8()
-    if text == "SL(2,3)":
-        return special_linear_2_3()
+    if text in ("Q8", "SL(2,3)"):
+        return (text,)
     if text.startswith("E(") and text.endswith(")"):
-        body = text[2:-1]
-        p_str, sep, k_str = body.partition("^")
+        p_str, sep, k_str = text[2:-1].partition("^")
         if not sep:
             raise SpecParseError(f"bad elementary-abelian spec {text!r}")
         try:
-            p, k = int(p_str), int(k_str)
+            return ("E", int(p_str), int(k_str))
         except ValueError as exc:
             raise SpecParseError(f"bad elementary-abelian spec {text!r}") from exc
-        if not _is_prime(p):
-            raise SpecParseError(f"{p} is not prime in {text!r}")
-        return elementary_abelian(p, k)
     if text.startswith("sd(") and text.endswith(")"):
-        body = text[3:-1]
-        parts = _split_top_level(body, ",")
+        parts = _split_top_level(text[3:-1], ",")
         if len(parts) < 3:
             raise SpecParseError(f"sd(...) needs a normal factor, a complement and an action: {text!r}")
-        n_spec = parts[0]
-        h_spec = parts[1]
-        action_text = ",".join(parts[2:])
+        return ("sd", parts[0], parts[1], ",".join(parts[2:]))
+    if text.startswith("perm(") and text.endswith(")"):
+        segments = _split_top_level(text[5:-1], ";")
+        if len(segments) < 2:
+            raise SpecParseError(f"perm(...) needs a degree and at least one generator: {text!r}")
+        try:
+            return ("perm", int(segments[0]), segments[1:])
+        except ValueError as exc:
+            raise SpecParseError(f"bad degree in {text!r}") from exc
+    if text[:1] in ("C", "D", "S", "A") and text[1:].isdigit():
+        try:
+            return (text[0], int(text[1:]))
+        except ValueError as exc:
+            raise SpecParseError(str(exc)) from exc
+    raise SpecParseError(f"unrecognised group spec {text!r}")
+
+
+_NAMED = {"C": cyclic, "D": dihedral, "S": symmetric, "A": alternating, "E": elementary_abelian}
+
+
+def _parse_atom(text: str) -> Group:
+    text = text.strip()
+    kind, *args = _split_atom(text)
+    if kind == "Q8":
+        return quaternion8()
+    if kind == "SL(2,3)":
+        return special_linear_2_3()
+    if kind == "sd":
+        n_spec, h_spec, action_text = args
         N = _parse_spec(n_spec)
         H = _parse_spec(h_spec)
         action = _parse_action(action_text, N, H)
         return semidirect_product(N, H, action, name=text)
-    if text.startswith("perm(") and text.endswith(")"):
-        body = text[5:-1]
-        segments = _split_top_level(body, ";")
-        if len(segments) < 2:
-            raise SpecParseError(f"perm(...) needs a degree and at least one generator: {text!r}")
-        try:
-            degree = int(segments[0])
-        except ValueError as exc:
-            raise SpecParseError(f"bad degree in {text!r}") from exc
-        gens = [Permutation.parse(degree, seg) for seg in segments[1:]]
+    if kind == "perm":
+        degree, segments = args
+        gens = [Permutation.parse(degree, seg) for seg in segments]
         return Group(degree, gens, name=text)
-    for prefix, builder in (("C", cyclic), ("D", dihedral), ("S", symmetric), ("A", alternating)):
-        if text.startswith(prefix) and text[len(prefix):].isdigit():
-            try:
-                return builder(int(text[len(prefix):]))
-            except ValueError as exc:
-                raise SpecParseError(str(exc)) from exc
-    raise SpecParseError(f"unrecognised group spec {text!r}")
+    if kind == "E" and not _is_prime(args[0]):
+        raise SpecParseError(f"{args[0]} is not prime in {text!r}")
+    try:
+        return _NAMED[kind](*args)
+    except ValueError as exc:
+        raise SpecParseError(str(exc)) from exc
+
+
+def _split_factors(text: str) -> list[str]:
+    """The direct factors of a spec: its atoms joined by ' x ' outside brackets."""
+    if not text.strip():
+        raise SpecParseError("empty group spec")
+    return _split_top_level(text, " x ")
 
 
 def _parse_spec(text: str) -> Group:
-    text = text.strip()
-    if not text:
-        raise SpecParseError("empty group spec")
-    factors = []
-    depth = 0
-    current: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch == "x" and i > 0 and text[i - 1] == " " and i + 1 < len(text) and text[i + 1] == " ":
-            factors.append("".join(current))
-            current = []
-            i += 1
-        else:
-            current.append(ch)
-        i += 1
-    factors.append("".join(current))
-    groups = [_parse_atom(f) for f in factors]
+    groups = [_parse_atom(f) for f in _split_factors(text)]
     result = groups[0]
     for g in groups[1:]:
         result = direct_product(result, g)
-    result.name = text
+    result.name = text.strip()
     return result
 
 
+def _capped_product(factors: Iterable[int], cap: int) -> int:
+    """The product of the factors, or cap + 1 as soon as it passes the cap."""
+    out = 1
+    for f in factors:
+        out *= f
+        if out > cap:
+            return cap + 1
+    return out
+
+
+def _order_bound(text: str, cap: int) -> int:
+    """A lower bound on the order of the group a spec names, read from the text.
+
+    Exact for C, D, S, A, E, Q8, SL(2,3), direct products and sd(...); a
+    perm(...) atom counts as 1, since its order needs a stabilizer chain.
+    Values above the cap come back as cap + 1.
+    """
+    return _capped_product((_atom_order_bound(f, cap) for f in _split_factors(text)), cap)
+
+
+def _atom_order_bound(text: str, cap: int) -> int:
+    kind, *args = _split_atom(text)
+    if kind == "sd":
+        return _capped_product((_order_bound(args[0], cap), _order_bound(args[1], cap)), cap)
+    if kind == "E":
+        p, k = args
+        return _capped_product(repeat(p, k), cap) if p >= 2 else 1
+    if kind == "S":
+        return _capped_product(range(2, args[0] + 1), cap)
+    if kind == "A":
+        return _capped_product(range(3, args[0] + 1), cap)
+    if kind in ("C", "D"):
+        return min(args[0], cap + 1)
+    if kind == "perm":
+        return 1
+    return 8 if kind == "Q8" else 24
+
+
 def make_group(spec: str, order_cap: int | None = None) -> Group:
-    """Parse a group spec and construct the group; enforces the order cap."""
-    group = _parse_spec(spec)
+    """Parse a group spec and construct the group; enforces the order cap.
+
+    The cap is applied to the order read from the spec before anything is
+    built, and again to the built group (whose perm(...) atoms have orders
+    known only then).
+    """
     cap = config.ORDER_CAP if order_cap is None else order_cap
+    if _order_bound(spec, cap) > cap:
+        raise CapExceeded(f"group order exceeds cap {cap}")
+    group = _parse_spec(spec)
     if group.order > cap:
         raise CapExceeded(f"group order {group.order} exceeds cap {cap}")
     return group

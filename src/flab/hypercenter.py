@@ -16,7 +16,7 @@ from . import config
 from .errors import InternalCheckFailure, OracleCapExceeded
 from .groups import Group, quotient
 from .perms import Permutation
-from .series import ChiefFactor, _minimal_normal_above
+from .series import ChiefFactor, _chief_masks_to, _minimal_normal_above
 from .subgroups import (
     SubgroupRef,
     bits,
@@ -159,10 +159,8 @@ def hypercenter(test: MembershipTest, G: Group, method: str = "auto") -> Subgrou
     current = trivial_subgroup(G)
     full = full_subgroup(G)
     while current.mask != full.mask:
-        candidates = _minimal_normal_above(G, current.mask)
-        candidates.sort(key=lambda m: (m.bit_count(), tuple(bits(m))))
         step = None
-        for mask in candidates:
+        for mask in _minimal_normal_above(G, current.mask):
             above = subgroup_from_mask(G, mask)
             factor = ChiefFactor(G, current, above)
             if is_f_central(test, G, factor, method).central:
@@ -181,17 +179,7 @@ def _verify_hypercenter(
     test: MembershipTest, G: Group, Z: SubgroupRef, method: str
 ) -> None:
     # every factor of a chief series through Z and below it must be central
-    series = [trivial_subgroup(G)]
-    while series[-1].mask != Z.mask:
-        inside = [
-            m
-            for m in _minimal_normal_above(G, series[-1].mask)
-            if m & ~Z.mask == 0
-        ]
-        if not inside:
-            raise InternalCheckFailure("no chief series passes through the hypercenter")
-        pick = min(inside, key=lambda m: (m.bit_count(), tuple(bits(m))))
-        series.append(subgroup_from_mask(G, pick))
+    series = [subgroup_from_mask(G, m) for m in _chief_masks_to(G, Z.mask)]
     for below, above in zip(series, series[1:]):
         if not is_f_central(test, G, ChiefFactor(G, below, above), method).central:
             raise InternalCheckFailure("hypercenter contains a non-central factor")

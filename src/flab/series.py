@@ -17,6 +17,7 @@ from .subgroups import (
     prime_factors,
     subgroup_from_mask,
     subgroup_to_group,
+    translate_mask,
     trivial_subgroup,
 )
 
@@ -85,13 +86,33 @@ class ChiefFactor:
 
 
 def _minimal_normal_above(G: Group, floor_mask: int) -> list[int]:
-    """Masks of the normal subgroups minimal among those strictly above the floor."""
+    """Masks of the normal subgroups minimal among those strictly above the floor.
+
+    Sorted by (order, fingerprint): the first mask is the deterministic choice
+    of every walk up a chief series.
+    """
     masks = [m for m in normal_subgroup_masks(full_subgroup(G)) if floor_mask & ~m == 0 and m != floor_mask]
-    return [
+    minimal = [
         m
         for m in masks
         if not any(other != m and floor_mask & ~other == 0 and other & ~m == 0 for other in masks)
     ]
+    return sorted(minimal, key=lambda m: (m.bit_count(), tuple(bits(m))))
+
+
+def _chief_masks_to(G: Group, top_mask: int) -> list[int]:
+    """Masks of a chief series of G from 1 up to the normal subgroup ``top_mask``.
+
+    Each step takes the first minimal normal subgroup above the current term
+    that lies inside the top.
+    """
+    series = [1 << G.identity_idx]
+    while series[-1] != top_mask:
+        inside = [m for m in _minimal_normal_above(G, series[-1]) if m & ~top_mask == 0]
+        if not inside:
+            raise InternalCheckFailure("no chief series passes through the given subgroup")
+        series.append(inside[0])
+    return series
 
 
 def chief_series(X: Group | SubgroupRef) -> list[SubgroupRef]:
@@ -103,29 +124,9 @@ def chief_series(X: Group | SubgroupRef) -> list[SubgroupRef]:
     X = as_ref(X)
     G = X.ambient
     if not X.is_full:
-        return _chief_series_subgroup(X)
-    series = [trivial_subgroup(G)]
-    current = series[0].mask
-    full = full_subgroup(G).mask
-    while current != full:
-        candidates = _minimal_normal_above(G, current)
-        pick = min(candidates, key=lambda m: (m.bit_count(), tuple(bits(m))))
-        series.append(subgroup_from_mask(G, pick))
-        current = pick
-    return series
-
-
-def _chief_series_subgroup(X: SubgroupRef) -> list[SubgroupRef]:
-    sub = subgroup_to_group(X)
-    inner = chief_series(full_subgroup(sub))
-    idx_map = {i: X.ambient.idx_of(sub.perm_at(i)) for i in range(sub.order)}
-    out = []
-    for ref in inner:
-        mask = 0
-        for i in bits(ref.mask):
-            mask |= 1 << idx_map[i]
-        out.append(subgroup_from_mask(X.ambient, mask))
-    return out
+        inner = chief_series(subgroup_to_group(X))
+        return [subgroup_from_mask(G, translate_mask(X, ref.mask, to_ambient=True)) for ref in inner]
+    return [subgroup_from_mask(G, m) for m in _chief_masks_to(G, X.mask)]
 
 
 def chief_factors(X: Group | SubgroupRef) -> list[ChiefFactor]:

@@ -3,7 +3,7 @@
 A :class:`SubgroupRef` identifies a subgroup by the bitmask of its element
 indices inside the ambient group's sorted element list; the mask doubles as
 the canonical fingerprint.  All operators here work at index level and need
-the ambient group's elements (and usually its multiplication table).
+the ambient group's elements and multiplication table.
 """
 
 from __future__ import annotations
@@ -93,31 +93,6 @@ class SubgroupRef:
 # ---------------------------------------------------------------------------
 
 
-class _PermRow:
-    """Right multiplication by one element, for groups without a table.
-
-    ``row[x]`` is the index of ``elements[x] * elements[r]``, as in the dense
-    table, at the cost of one permutation product per entry.
-    """
-
-    __slots__ = ("_elems", "_idx", "_perm")
-
-    def __init__(self, G: Group, r: int):
-        self._elems = G.elements()
-        self._idx = G.element_index()
-        self._perm = self._elems[r]
-
-    def __getitem__(self, x: int) -> int:
-        return self._idx[self._elems[x] * self._perm]
-
-
-def _row_getter(G: Group):
-    """``row_of(r)[x]`` is the index of elements[x] * elements[r]."""
-    if G._ensure_table():
-        return G._table.__getitem__
-    return lambda r: _PermRow(G, r)
-
-
 # flag bytes -> binary digits, for reading a flag array back as a mask
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -157,7 +132,7 @@ def closure_mask(
         if stop_above is not None and mask.bit_count() > stop_above:
             return (1 << n) - 1
         return mask
-    row_of = _row_getter(G)
+    table = G.table
     members = list(bits(mask))  # the current subgroup
     inside = bytearray(n)  # inside[x] == 1 iff x is in it
     for x in members:
@@ -168,7 +143,7 @@ def closure_mask(
         gens.append(s)
         if len(members) == 1:
             # the cyclic group <s>, one power at a time
-            row = row_of(s)
+            row = table[s]
             x = s
             while x != e:
                 inside[x] = 1
@@ -178,12 +153,12 @@ def closure_mask(
                 return (1 << n) - 1
             continue
         H = members[:]
-        gen_rows = [row_of(g) for g in gens]
+        gen_rows = [table[g] for g in gens]
         reps = [s]
         for r in reps:  # grows as new cosets are found; repeats are skipped
             if inside[r]:
                 continue
-            row = row_of(r)
+            row = table[r]
             coset = [row[h] for h in H]
             for y in coset:
                 inside[y] = 1
@@ -258,6 +233,26 @@ def subgroup_to_group(ref: SubgroupRef) -> Group:
     return cached
 
 
+def translate_mask(X: SubgroupRef, mask: int, to_ambient: bool = False) -> int:
+    """Translate a mask between the ambient indexing and that of ``subgroup_to_group(X)``.
+
+    By default a mask of elements of X in the ambient group's indexing is
+    mapped to the subgroup's own element indices; ``to_ambient=True`` maps
+    the other way.  When X is the full group the two indexings coincide.
+    """
+    G = X.ambient
+    sub = subgroup_to_group(X)
+    if sub is G:
+        return mask
+    index = G.element_index()
+    ambient_of = [index[p] for p in sub.elements()]
+    image = ambient_of if to_ambient else {a: i for i, a in enumerate(ambient_of)}
+    out = 0
+    for i in bits(mask):
+        out |= 1 << image[i]
+    return out
+
+
 def _require_subgroup(X: SubgroupRef, H: SubgroupRef) -> None:
     if H.ambient is not X.ambient:
         raise NotASubgroup("operands live in different ambient groups")
@@ -279,18 +274,13 @@ def normalizer(X: Group | SubgroupRef, H: SubgroupRef) -> SubgroupRef:
     hmask = H.mask
     hgens = H.gen_idxs
     out = 0
-    table = G._table if G._ensure_table() else None
-    if table is not None:
-        inv = G._inv
-        for g in bits(X.mask):
-            row_g = table[g]
-            ginv = inv[g]
-            if all((hmask >> row_g[table[h][ginv]]) & 1 for h in hgens):
-                out |= 1 << g
-    else:
-        for g in bits(X.mask):
-            if all((hmask >> G.conj(h, g)) & 1 for h in hgens):
-                out |= 1 << g
+    table = G.table
+    inv = G._inv
+    for g in bits(X.mask):
+        row_g = table[g]
+        ginv = inv[g]
+        if all((hmask >> row_g[table[h][ginv]]) & 1 for h in hgens):
+            out |= 1 << g
     return subgroup_from_mask(G, out)
 
 
@@ -318,28 +308,16 @@ def centralizer_of_factor(
     kmask = K.mask
     hgens = H.gen_idxs
     out = 0
-    table = G._table if G._ensure_table() else None
-    if table is not None:
-        inv = G._inv
-        hrows = [(h, inv[h]) for h in hgens]
-        for g in bits(X.mask):
-            ginv = inv[g]
-            row_g = table[g]
-            ok = True
-            for h, hinv in hrows:
-                # [g, h] = g^-1 h^-1 g h
-                comm = table[h][row_g[table[hinv][ginv]]]
-                if not (kmask >> comm) & 1:
-                    ok = False
-                    break
-            if ok:
-                out |= 1 << g
-        return subgroup_from_mask(G, out)
+    table = G.table
+    inv = G._inv
+    hrows = [(h, inv[h]) for h in hgens]
     for g in bits(X.mask):
-        ginv = G.inv(g)
+        ginv = inv[g]
+        row_g = table[g]
         ok = True
-        for h in H.gen_idxs:
-            comm = G.mul(G.mul(ginv, G.inv(h)), G.mul(g, h))
+        for h, hinv in hrows:
+            # [g, h] = g^-1 h^-1 g h
+            comm = table[h][row_g[table[hinv][ginv]]]
             if not (kmask >> comm) & 1:
                 ok = False
                 break
@@ -559,13 +537,13 @@ def normal_closure_mask(X: SubgroupRef, seed_idxs: Iterable[int]) -> int:
     return closure_mask(G, sorted(seeds))
 
 
-def _normal_product_mask(row_of, a: int, b: int) -> int:
+def _normal_product_mask(table, a: int, b: int) -> int:
     """The product AB = union of the cosets Bx, x in A, for B normal: O(|AB|)."""
     out = b
     b_elts = list(bits(b))
     for x in bits(a):
         if not (out >> x) & 1:
-            row = row_of(x)
+            row = table[x]
             for y in b_elts:
                 out |= 1 << row[y]
     return out
@@ -602,7 +580,7 @@ def normal_subgroup_masks(X: Group | SubgroupRef) -> tuple[int, ...]:
         seen_elts |= orbit_mask
         atoms.add(closure_mask(G, orbit))
     result = {1 << e} | atoms
-    row_of = _row_getter(G)
+    table = G.table
     frontier = sorted(atoms)
     while frontier:
         nxt = []
@@ -610,7 +588,7 @@ def normal_subgroup_masks(X: Group | SubgroupRef) -> tuple[int, ...]:
             for b in sorted(result):
                 if a | b in result:
                     continue
-                joined = _normal_product_mask(row_of, a, b)
+                joined = _normal_product_mask(table, a, b)
                 if joined not in result:
                     result.add(joined)
                     nxt.append(joined)
@@ -678,21 +656,10 @@ def o_pp(X: Group | SubgroupRef, p: int) -> SubgroupRef:
     """O_{p',p}(X), defined by O_{p',p}/O_{p'} = O_p(X / O_{p'})."""
     X = as_ref(X)
     G = X.ambient
+    if not X.is_full:
+        inner = o_pp(subgroup_to_group(X), p)
+        return subgroup_from_mask(G, translate_mask(X, inner.mask, to_ambient=True))
     opprime = o_pi(X, [q for q in prime_factors(X.order) if q != p])
-    if X.is_full:
-        qm = quotient(G, opprime.mask, opprime.gen_idxs)
-        inner = o_pi(qm.group, [p])
-        return subgroup_from_mask(G, qm.preimage_mask(inner.mask))
-    sub = subgroup_to_group(X)
-    sub_idx = {i: sub.idx_of(G.perm_at(i)) for i in bits(X.mask)}
-    back = {v: k for k, v in sub_idx.items()}
-    sub_mask = 0
-    for i in bits(opprime.mask):
-        sub_mask |= 1 << sub_idx[i]
-    qm = quotient(sub, sub_mask, [sub_idx[i] for i in opprime.gen_idxs])
+    qm = quotient(G, opprime.mask, opprime.gen_idxs)
     inner = o_pi(qm.group, [p])
-    pre = qm.preimage_mask(inner.mask)
-    out = 0
-    for i in bits(pre):
-        out |= 1 << back[i]
-    return subgroup_from_mask(G, out)
+    return subgroup_from_mask(G, qm.preimage_mask(inner.mask))

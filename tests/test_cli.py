@@ -130,6 +130,7 @@ def test_reports_byte_identical_across_processes():
         ["analyze", "--group", "sd(C3,C2,n0->n0^y)"],
         ["verify", "--partition", "{2,x}"],
         ["verify", "--check", "theorem-a", "--partition", "{2,x}"],
+        ["analyze", "--group", "E(2^0)"],
     ],
 )
 def test_bad_expression_exits_2_with_one_error_line(argv, capsys):
@@ -149,6 +150,24 @@ def test_bad_partition_rejected_before_corpus_is_built(monkeypatch, capsys):
     monkeypatch.setattr(flab.cli, "build_corpus", no_corpus)
     assert main(["verify", "--partition", "{2,x}"]) == 2
     assert main(["verify", "--formation", "Gpi{2,x}"]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--formation", "N"], ["--partition", "{2,3},{5}"], ["--sigma", "maximal"]],
+    ids=["formation", "partition", "sigma"],
+)
+def test_check_all_rejects_parameter_options(extra, monkeypatch, capsys):
+    import flab.cli
+
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("corpus built although the options are rejected")
+
+    monkeypatch.setattr(flab.cli, "build_corpus", no_corpus)
+    code = main(["verify", "--max-order", "6", *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: --check all takes no {extra[0]}; name a single check to set it\n"
 
 
 def test_non_integer_max_order_env_exits_2(monkeypatch, capsys):

@@ -1,12 +1,13 @@
 """The coset-based closure kernel and the routines built on it, against the
 plain reference algorithms in ``tests/oracles.py``."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flab.subgroups as subgroups_mod
-from flab import config
 from flab.corpus import build_corpus
 from flab.groups import make_group
 from flab.lattice import _cyclic_subgroups, all_subgroups
@@ -26,7 +27,7 @@ from .oracles import (
 )
 
 _SMALL = [entry.group for entry in build_corpus(60)]
-_LARGE = make_group("C31 x C31")  # above MUL_TABLE_CAP: the G.mul branch
+_LARGE = make_group("C31 x C31")  # order 961, in the 901-2000 band
 _GROUPS = _SMALL + [_LARGE]
 
 
@@ -41,9 +42,18 @@ def _masks(G, subsets) -> set[int]:
     return out
 
 
-def test_large_group_has_no_table():
-    assert _LARGE.order == 961 > config.MUL_TABLE_CAP
-    assert not _LARGE._ensure_table()
+@pytest.mark.parametrize("spec", ["C31 x C31", "D2000"])
+def test_groups_above_order_900_get_a_table(spec):
+    G = _LARGE if spec == _LARGE.name else make_group(spec)
+    assert G.order in (961, 2000)
+    elems = G.elements()
+    assert len(G.table) == G.order
+    rng = random.Random(spec)
+    for _ in range(200):
+        i, j = rng.randrange(G.order), rng.randrange(G.order)
+        assert elems[G.mul(i, j)] == elems[i] * elems[j]
+        assert elems[G.inv(i)] == elems[i].inverse()
+        assert elems[G.conj_row(j)[i]] == elems[j].inverse() * elems[i] * elems[j]
 
 
 @st.composite
@@ -78,7 +88,7 @@ def test_gens_for_mask_matches_oracle_on_every_subgroup(spec):
         assert gens_for_mask(G, ref.mask) == gens_for_mask_maxscan(G, ref.mask)
 
 
-def test_gens_for_mask_matches_oracle_without_table():
+def test_gens_for_mask_matches_oracle_above_order_900():
     G = _LARGE
     for seeds in ([1], [5, 900], [37, 74, 111], [2, 3]):
         mask = closure_mask_bfs(G, seeds)

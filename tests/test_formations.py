@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from flab.errors import LocalDefinitionUnavailable, SpecParseError
+from flab import config
+from flab.errors import CapExceeded, LocalDefinitionUnavailable, SpecParseError
 from flab.formations import (
     Cross,
     CrossBlock,
@@ -22,7 +23,7 @@ from flab.formations import (
     residual_mask,
     supports_local_definition,
 )
-from flab.groups import make_group, quotient
+from flab.groups import direct_product, make_group, quotient
 from flab.lattice import all_subgroups
 from flab.series import normal_subgroups
 from flab.subgroups import full_subgroup, subgroup_from_mask
@@ -118,6 +119,45 @@ def test_solpi_membership():
     assert not formation_member(F, make_group("C5"))
     assert not formation_member(F, make_group("S3 x C5"))
     assert not formation_member(SolPi(frozenset({2, 3, 5})), make_group("A5"))
+
+
+# -- chain-only membership above the element cap -------------------------------
+
+# Orders 2001-10000 arise only as centrality-oracle products; formation_member
+# decides them from stabilizer chains, without enumerating elements.
+_LARGE_VERDICTS = {
+    # (Gpi{2,3}, SolPi{2,3}, Sol, N, N^2, N^3, U, cross[{2,3}:gpi])
+    "C64 x C64": (True, True, True, True, True, True, CapExceeded, CapExceeded),
+    "D80 x D80": (False, False, True, False, True, True, CapExceeded, CapExceeded),
+    "A5 x A5": (False, False, False, False, False, False, False, False),
+    "S4 x S4 x C5": (False, False, True, False, False, True, CapExceeded, CapExceeded),
+}
+_LARGE_CLASSES = (
+    Gpi(frozenset({2, 3})),
+    SolPi(frozenset({2, 3})),
+    SOL,
+    NIL,
+    NilPow(2),
+    NilPow(3),
+    SUPERSOLUBLE,
+    parse_formation("cross[{2,3}:gpi]"),
+)
+
+
+@pytest.mark.parametrize("spec", sorted(_LARGE_VERDICTS))
+def test_chain_only_membership_above_element_cap(spec):
+    factors = [make_group(part) for part in spec.split(" x ")]
+    G = factors[0]
+    for H in factors[1:]:
+        G = direct_product(G, H)
+    assert config.ELEMENT_CAP < G.order <= config.ORACLE_CAP
+    for F, expected in zip(_LARGE_CLASSES, _LARGE_VERDICTS[spec]):
+        if expected is CapExceeded:
+            with pytest.raises(CapExceeded):
+                formation_member(F, G)
+        else:
+            assert formation_member(F, G) is expected, format_formation(F)
+    assert G._elements is None  # decided without enumerating elements
 
 
 # -- closure properties (corpus-tested) ----------------------------------------

@@ -1,6 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flab.groups as groups_mod
+from flab.corpus import build_corpus
 from flab.errors import ActionError, CapExceeded, NotNormal, SpecParseError
 from flab.groups import (
     Group,
@@ -74,6 +78,36 @@ def test_elements_cap():
 def test_order_cap():
     with pytest.raises(CapExceeded):
         make_group("C999", order_cap=500)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "C1000003",
+        "D4000",
+        "S100",
+        "A1000",
+        "E(170141183460469231731687303715884105727^1)",  # a Mersenne prime
+        "S6 x S6 x S6",
+        "sd(C1000,C1000,n0->n0)",
+    ],
+)
+def test_order_cap_refuses_before_building(spec, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("group built or primality tested before the cap check")
+
+    monkeypatch.setattr(groups_mod.Group, "__init__", refuse)
+    monkeypatch.setattr(groups_mod, "_is_prime", refuse)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        make_group(spec)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_order_read_from_spec_matches_built_order():
+    for entry in build_corpus():
+        assert groups_mod._order_bound(entry.spec, 10**9) == entry.group.order, entry.spec
+    assert groups_mod._order_bound("perm(4; (0,1,2,3)) x C5", 10**9) == 5  # perm counts as 1
 
 
 # -- index arithmetic ---------------------------------------------------------
