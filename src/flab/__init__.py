@@ -110,7 +110,7 @@ from .intersections import (
     sylow_normalizer_intersection,
 )
 from .corpus import Corpus, CorpusEntry, build_corpus, load_corpus_file
-from .checks import CheckReport, default_suite, run_check
+from .checks import CheckReport, default_suite, run_check, run_checks
 from .report import render_report
 
 __version__ = "0.1.0"

@@ -5,15 +5,19 @@ paths and reports per-group verdicts with witnesses on failure.  Assertive
 checks contribute to the process exit code; search/probe checks (boundary,
 the supersoluble subnormalizer probe, soluble-kind partition probes) are
 informational and never flip it.
+
+A check is a per-group function listed in ``CHECKS``.  ``run_checks`` loops
+over the corpus once and, on each group, runs every configured check in turn.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
-from .corpus import Corpus
+from .corpus import Corpus, CorpusEntry
 from .errors import SpecParseError
 from .formations import (
     Cross,
@@ -25,12 +29,14 @@ from .formations import (
     SolPi,
     NIL,
     SUPERSOLUBLE,
+    _parse_primeset,
     format_formation,
     formation_member,
     formation_residual,
     parse_formation,
     pi_support,
     boundary_counterexample_search,
+    supports_local_definition,
 )
 from .groups import Group, quotient
 from .hypercenter import hypercenter
@@ -64,6 +70,9 @@ from .subgroups import (
 
 _SAMPLE_SEED = 0xF1AB
 _EXHAUSTIVE_ORDER = 60
+_PROBE_NOTE = "no equality guarantee - negative-case probe"
+_GPI23 = Gpi(frozenset({2, 3}))
+_LEMMA_FORMATIONS = (NIL, SUPERSOLUBLE, _GPI23)
 
 
 @dataclass
@@ -87,9 +96,7 @@ class CheckReport:
         return (not self.assertive) or self.failed == 0
 
 
-def _witness(lhs: SubgroupRef, rhs: SubgroupRef) -> dict | None:
-    if lhs.mask == rhs.mask:
-        return None
+def _witness(lhs: SubgroupRef, rhs: SubgroupRef) -> dict:
     return {
         "lhs_order": lhs.order,
         "rhs_order": rhs.order,
@@ -98,103 +105,91 @@ def _witness(lhs: SubgroupRef, rhs: SubgroupRef) -> dict | None:
     }
 
 
-def _row(name: str, G: Group, lhs: SubgroupRef, rhs: SubgroupRef, note: str | None = None) -> dict:
+def _row(
+    entry: CorpusEntry,
+    lhs: SubgroupRef | None,
+    rhs: SubgroupRef | None,
+    note: str | None = None,
+    *,
+    ok: bool | None = None,
+    witness: dict | None = None,
+) -> dict:
+    """One report row.  ``ok`` defaults to lhs == rhs; a failing row given no
+    ``witness`` carries the orders and fingerprints of both sides."""
+    if ok is None:
+        ok = lhs.mask == rhs.mask
+    if witness is None and not ok:
+        witness = _witness(lhs, rhs)
     row = {
-        "group": name,
-        "order": G.order,
-        "lhs_order": lhs.order,
-        "rhs_order": rhs.order,
-        "pass": lhs.mask == rhs.mask,
-        "witness": _witness(lhs, rhs),
+        "group": entry.name,
+        "order": entry.group.order,
+        "lhs_order": None if lhs is None else lhs.order,
+        "rhs_order": None if rhs is None else rhs.order,
+        "pass": ok,
+        "witness": witness,
     }
     if note:
         row["note"] = note
     return row
 
 
-def _sorted_rows(rows: list[dict]) -> list[dict]:
-    return sorted(rows, key=lambda r: (r["order"], r["group"], r.get("note") or ""))
-
-
 # ---------------------------------------------------------------------------
-# Individual checks
+# Individual checks: the rows of one corpus group
 # ---------------------------------------------------------------------------
 
 
-def _check_baer_a1(corpus: Corpus, params: dict) -> CheckReport:
+def _baer_a1(entry: CorpusEntry, params: dict) -> list[dict]:
     """Sylow-normalizer intersection equals the nilpotent-class hypercenter."""
-    rows = []
-    for entry in corpus:
-        lhs = sylow_normalizer_intersection(entry.group)
-        rhs = hypercenter(NIL, entry.group)
-        rows.append(_row(entry.name, entry.group, lhs, rhs))
-    return CheckReport("baer-a1", {}, _sorted_rows(rows), assertive=True)
+    G = entry.group
+    return [_row(entry, sylow_normalizer_intersection(G), hypercenter(NIL, G))]
 
 
-def _check_cor_a4(corpus: Corpus, params: dict) -> CheckReport:
+def _cor_a4(entry: CorpusEntry, params: dict) -> list[dict]:
     """Intersection of maximal nilpotent subgroups equals the hypercenter."""
-    rows = []
-    for entry in corpus:
-        lhs = f_maximal_intersection(NIL, entry.group)
-        rhs = hypercenter(NIL, entry.group)
-        rows.append(_row(entry.name, entry.group, lhs, rhs))
-    return CheckReport("cor-a4", {}, _sorted_rows(rows), assertive=True)
+    G = entry.group
+    return [_row(entry, f_maximal_intersection(NIL, G), hypercenter(NIL, G))]
 
 
-def _check_prop1(corpus: Corpus, params: dict) -> CheckReport:
+def _prop1(entry: CorpusEntry, params: dict) -> list[dict]:
     """O^{pi'} of the normalizer intersection equals the member intersection."""
-    F = params.get("formation") or NIL
-    rows = []
-    for entry in corpus:
-        G = entry.group
-        ni = f_maximal_normalizer_intersection(F, G)
-        pi = pi_support(F)
-        if pi is None:
-            lhs = ni
-        else:
-            complement = frozenset(p for p in prime_factors(ni.order) if p not in pi)
-            lhs = o_pi_up(ni, complement)
-        rhs = f_maximal_intersection(F, G)
-        rows.append(_row(entry.name, G, lhs, rhs))
-    return CheckReport(
-        "prop1", {"formation": format_formation(F)}, _sorted_rows(rows), assertive=True
-    )
+    F, G = params["formation"], entry.group
+    ni = f_maximal_normalizer_intersection(F, G)
+    pi = pi_support(F)
+    if pi is None:
+        lhs = ni
+    else:
+        complement = frozenset(p for p in prime_factors(ni.order) if p not in pi)
+        lhs = o_pi_up(ni, complement)
+    return [_row(entry, lhs, f_maximal_intersection(F, G))]
 
 
 def _partition_to_cross(blocks: list[tuple[frozenset[int], bool]]) -> Cross:
     return Cross(tuple(CrossBlock(primes, soluble) for primes, soluble in blocks))
 
 
-def _check_theorem_a(corpus: Corpus, params: dict) -> CheckReport:
+def _has_soluble_block(blocks: list[tuple[frozenset[int], bool]]) -> bool:
+    return any(soluble for _, soluble in blocks)
+
+
+def _theorem_a(entry: CorpusEntry, params: dict) -> list[dict]:
     """Intersection of per-block normalizer intersections equals the cross hypercenter."""
-    blocks: list[tuple[frozenset[int], bool]] = params.get("partition") or []
-    has_soluble_blocks = any(soluble for _, soluble in blocks)
-    cross = _partition_to_cross(blocks)
-    rows = []
-    for entry in corpus:
-        G = entry.group
-        mask = full_subgroup(G).mask
-        remaining = set(prime_factors(G.order))
-        per_block: list[tuple[frozenset[int], bool]] = []
-        for primes, soluble in blocks:
-            if primes & remaining:
-                per_block.append((primes, soluble))
-                remaining -= primes
-        for p in sorted(remaining):
-            per_block.append((frozenset([p]), False))
-        for primes, soluble in per_block:
-            Fi: FormationExpr = SolPi(primes) if soluble else Gpi(primes)
-            mask &= f_maximal_normalizer_intersection(Fi, G).mask
-        lhs = subgroup_from_mask(G, mask)
-        rhs = hypercenter(cross, G)
-        note = "no equality guarantee - negative-case probe" if has_soluble_blocks else None
-        rows.append(_row(entry.name, G, lhs, rhs, note))
-    return CheckReport(
-        "theorem-a",
-        {"partition": _partition_params(blocks)},
-        _sorted_rows(rows),
-        assertive=not has_soluble_blocks,
-    )
+    blocks: list[tuple[frozenset[int], bool]] = params["partition"]
+    G = entry.group
+    mask = full_subgroup(G).mask
+    remaining = set(prime_factors(G.order))
+    per_block: list[tuple[frozenset[int], bool]] = []
+    for primes, soluble in blocks:
+        if primes & remaining:
+            per_block.append((primes, soluble))
+            remaining -= primes
+    for p in sorted(remaining):
+        per_block.append((frozenset([p]), False))
+    for primes, soluble in per_block:
+        Fi: FormationExpr = SolPi(primes) if soluble else Gpi(primes)
+        mask &= f_maximal_normalizer_intersection(Fi, G).mask
+    lhs = subgroup_from_mask(G, mask)
+    rhs = hypercenter(_partition_to_cross(blocks), G)
+    return [_row(entry, lhs, rhs, _PROBE_NOTE if _has_soluble_block(blocks) else None)]
 
 
 def _partition_params(blocks: list[tuple[frozenset[int], bool]]) -> list[str]:
@@ -204,199 +199,104 @@ def _partition_params(blocks: list[tuple[frozenset[int], bool]]) -> list[str]:
     ]
 
 
-def _check_theorem_b(corpus: Corpus, params: dict) -> CheckReport:
-    """Subnormalizer intersections over Sylow and cyclic primary subgroups vs the hypercenter."""
-    F = params.get("formation") or NIL
-    lattice_formation = isinstance(F, (Nil, Gpi)) or (
+def _is_lattice_formation(F: FormationExpr) -> bool:
+    return isinstance(F, (Nil, Gpi)) or (
         isinstance(F, Cross) and all(not b.soluble for b in F.blocks)
     )
-    rows = []
-    for entry in corpus:
-        G = entry.group
-        z = hypercenter(F, G)
-        si_syl = subnormalizer_intersection(F, SYLOW, G)
-        si_cp = subnormalizer_intersection(F, CYCLIC_PRIMARY, G)
-        ok = si_syl.mask == z.mask and si_cp.mask == z.mask
-        row = {
-            "group": entry.name,
-            "order": G.order,
-            "lhs_order": si_syl.order,
-            "rhs_order": z.order,
-            "pass": ok,
-            "witness": None if ok else {
-                "lhs_order": si_syl.order,
-                "rhs_order": z.order,
-                "cyclic_primary_order": si_cp.order,
-                "lhs_fingerprint": list(si_syl.fingerprint),
-                "rhs_fingerprint": list(z.fingerprint),
-            },
-        }
-        if not lattice_formation:
-            row["note"] = "no equality guarantee - negative-case probe"
-        rows.append(row)
-    return CheckReport(
-        "theorem-b",
-        {"formation": format_formation(F)},
-        _sorted_rows(rows),
-        assertive=lattice_formation,
-    )
 
 
-def _check_prop2(corpus: Corpus, params: dict) -> CheckReport:
+def _theorem_b(entry: CorpusEntry, params: dict) -> list[dict]:
+    """Subnormalizer intersections over Sylow and cyclic primary subgroups vs the hypercenter."""
+    F, G = params["formation"], entry.group
+    z = hypercenter(F, G)
+    si_syl = subnormalizer_intersection(F, SYLOW, G)
+    si_cp = subnormalizer_intersection(F, CYCLIC_PRIMARY, G)
+    ok = si_syl.mask == z.mask and si_cp.mask == z.mask
+    witness = None if ok else {**_witness(si_syl, z), "cyclic_primary_order": si_cp.order}
+    note = None if _is_lattice_formation(F) else _PROBE_NOTE
+    return [_row(entry, si_syl, z, note, ok=ok, witness=witness)]
+
+
+def _prop2(entry: CorpusEntry, params: dict) -> list[dict]:
     """The subnormalizer intersection is the join of the normal subgroups that
     subnormalize the whole family, and it subnormalizes the family itself."""
-    F = params.get("formation") or NIL
-    sigma: SubgroupFunctor = params.get("sigma") or SYLOW
-    rows = []
-    for entry in corpus:
-        G = entry.group
-        si = subnormalizer_intersection(F, sigma, G)
-        # subnormality in HN is conjugation-equivariant, so class representatives
-        # of the (conjugation-closed) family decide the whole family
-        lat = all_subgroups(G)
-        family = []
-        seen_classes: set[int] = set()
-        for H in sigma(G):
-            cid = lat.class_id[lat.index_of(H)]
-            if cid not in seen_classes:
-                seen_classes.add(cid)
-                family.append(H)
-        joined = trivial_subgroup(G)
-        for nmask in normal_subgroup_masks(full_subgroup(G)):
-            n_ref = subgroup_from_mask(G, nmask)
-            if all(is_f_subnormal(F, H, join(H, n_ref)) for H in family):
-                joined = join(joined, n_ref)
-        back_ok = all(is_f_subnormal(F, H, join(H, si)) for H in family)
-        ok = joined.mask == si.mask and back_ok
-        row = {
-            "group": entry.name,
-            "order": G.order,
-            "lhs_order": joined.order,
-            "rhs_order": si.order,
-            "pass": ok,
-            "witness": None if ok else _witness(joined, si) or {"subnormalize_back": back_ok},
-        }
-        rows.append(row)
-    return CheckReport(
-        "prop2",
-        {"formation": format_formation(F), "sigma": sigma.tag},
-        _sorted_rows(rows),
-        assertive=True,
-    )
+    F, G = params["formation"], entry.group
+    sigma: SubgroupFunctor = params["sigma"]
+    si = subnormalizer_intersection(F, sigma, G)
+    # subnormality in HN is conjugation-equivariant, so class representatives
+    # of the (conjugation-closed) family decide the whole family
+    lat = all_subgroups(G)
+    family = []
+    seen_classes: set[int] = set()
+    for H in sigma(G):
+        cid = lat.class_id[lat.index_of(H)]
+        if cid not in seen_classes:
+            seen_classes.add(cid)
+            family.append(H)
+    joined = trivial_subgroup(G)
+    for nmask in normal_subgroup_masks(full_subgroup(G)):
+        n_ref = subgroup_from_mask(G, nmask)
+        if all(is_f_subnormal(F, H, join(H, n_ref)) for H in family):
+            joined = join(joined, n_ref)
+    back_ok = all(is_f_subnormal(F, H, join(H, si)) for H in family)
+    ok = joined.mask == si.mask and back_ok
+    witness = {"subnormalize_back": False} if joined.mask == si.mask and not back_ok else None
+    return [_row(entry, joined, si, ok=ok, witness=witness)]
 
 
-def _check_sidorov(corpus: Corpus, params: dict) -> CheckReport:
+def _sidorov(entry: CorpusEntry, params: dict) -> list[dict]:
     """For soluble groups, members of bounded Fitting length: intersection of
     the maximal ones equals the class hypercenter (oracle centrality path)."""
-    rs = params.get("rs") or (1, 2, 3)
+    G = entry.group
+    if not is_soluble(G):
+        return []
     rows = []
-    for entry in corpus:
-        G = entry.group
-        if not is_soluble(G):
-            continue
-        for r in rs:
-            F = NilPow(r)
-            lhs = f_maximal_intersection(F, G)
-            rhs = hypercenter(F, G, method="oracle")
-            rows.append(_row(entry.name, G, lhs, rhs, note=f"r={r}"))
-    return CheckReport("sidorov", {"rs": list(rs)}, _sorted_rows(rows), assertive=True)
+    for r in params["rs"]:
+        F = NilPow(r)
+        lhs = f_maximal_intersection(F, G)
+        rhs = hypercenter(F, G, method="oracle")
+        rows.append(_row(entry, lhs, rhs, note=f"r={r}"))
+    return rows
 
 
-def _check_delta_phi(corpus: Corpus, params: dict) -> CheckReport:
+def _delta_phi(entry: CorpusEntry, params: dict) -> list[dict]:
     """Image of the abnormal-maximal intersection modulo Frattini equals the
     hypercenter of the Frattini quotient."""
-    F = params.get("formation") or NIL
-    rows = []
-    for entry in corpus:
-        G = entry.group
-        phi = frattini(G)
-        delta = abnormal_maximal_intersection(F, G)
-        qm = quotient(G, phi.mask, phi.gen_idxs)
-        lhs_mask = qm.image_mask(delta.mask)
-        lhs = subgroup_from_mask(qm.group, lhs_mask)
-        rhs = hypercenter(F, qm.group)
-        row = {
-            "group": entry.name,
-            "order": G.order,
-            "lhs_order": lhs.order,
-            "rhs_order": rhs.order,
-            "pass": lhs.mask == rhs.mask,
-            "witness": _witness(lhs, rhs),
-        }
-        rows.append(row)
-    return CheckReport(
-        "delta-phi", {"formation": format_formation(F)}, _sorted_rows(rows), assertive=True
-    )
+    F, G = params["formation"], entry.group
+    phi = frattini(G)
+    delta = abnormal_maximal_intersection(F, G)
+    qm = quotient(G, phi.mask, phi.gen_idxs)
+    lhs = subgroup_from_mask(qm.group, qm.image_mask(delta.mask))
+    return [_row(entry, lhs, hypercenter(F, qm.group))]
 
 
-def _check_boundary(corpus: Corpus, params: dict) -> CheckReport:
-    """Corpus search for groups outside the class whose maximal subgroups all
-    lie in the local class at some prime (bounded report, never asserted empty)."""
-    F = params.get("formation") or SUPERSOLUBLE
-    universe = params.get("universe")
+def _boundary(entry: CorpusEntry, params: dict) -> list[dict]:
+    """Search for a group outside the class whose maximal subgroups all lie in
+    the local class at some prime (bounded report, never asserted empty)."""
     found = boundary_counterexample_search(
-        F, universe, [(e.name, e.group) for e in corpus]
+        params["formation"], params["universe"], [(entry.name, entry.group)]
     )
-    by_name: dict[str, list[int]] = {}
-    for name, p in found:
-        by_name.setdefault(name, []).append(p)
-    rows = []
-    max_order = 0
-    for entry in corpus:
-        max_order = max(max_order, entry.group.order)
-        primes = by_name.get(entry.name)
-        if primes:
-            rows.append(
-                {
-                    "group": entry.name,
-                    "order": entry.group.order,
-                    "lhs_order": None,
-                    "rhs_order": None,
-                    "pass": True,
-                    "witness": {"primes": sorted(primes)},
-                    "note": "maximal subgroups all in local class",
-                }
-            )
-    params = {
-        "formation": format_formation(F),
-        "universe": sorted(universe) if universe else "all",
-    }
-    if not rows:
-        params["note"] = f"no counterexample up to order {max_order}"
-    return CheckReport("boundary", params, _sorted_rows(rows), assertive=False)
+    if not found:
+        return []
+    witness = {"primes": sorted(p for _, p in found)}
+    return [_row(entry, None, None, "maximal subgroups all in local class", ok=True, witness=witness)]
 
 
-def _check_lemmas(corpus: Corpus, params: dict) -> CheckReport:
+def _lemma_formations(params: dict) -> tuple[FormationExpr, ...]:
+    if params["formations"]:
+        return params["formations"]
+    return (params["formation"],) if params["formation"] else _LEMMA_FORMATIONS
+
+
+def _lemmas(entry: CorpusEntry, params: dict) -> list[dict]:
     """Closure and embedding facts for normalizer intersections, hypercenter
     products, subnormality, and the residual-hypercenter commutator."""
-    formations = params.get("formations")
-    if formations is None and params.get("formation") is not None:
-        formations = (params["formation"],)
-    if formations is None:
-        formations = (NIL, SUPERSOLUBLE, Gpi(frozenset({2, 3})))
-    rows = []
-    for entry in corpus:
-        failures: list[str] = []
-        checked = 0
-        for F in formations:
-            checked += _lemma_suite(entry.group, F, failures)
-        rows.append(
-            {
-                "group": entry.name,
-                "order": entry.group.order,
-                "lhs_order": None,
-                "rhs_order": None,
-                "pass": not failures,
-                "witness": {"failures": failures} if failures else None,
-                "note": f"{checked} instances",
-            }
-        )
-    return CheckReport(
-        "lemmas",
-        {"formations": [format_formation(F) for F in formations]},
-        _sorted_rows(rows),
-        assertive=True,
-    )
+    failures: list[str] = []
+    checked = 0
+    for F in _lemma_formations(params):
+        checked += _lemma_suite(entry.group, F, failures)
+    witness = {"failures": failures} if failures else None
+    return [_row(entry, None, None, f"{checked} instances", ok=not failures, witness=witness)]
 
 
 def _lemma_suite(G: Group, F: FormationExpr, failures: list[str]) -> int:
@@ -504,21 +404,87 @@ def _sample(rng: random.Random, items: list, k: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Registry and the default suite
+# Registry, the default suite and the driver
 # ---------------------------------------------------------------------------
 
 
+def _no_params(params: dict) -> tuple[dict, bool]:
+    return {}, True
+
+
+def _formation_params(params: dict) -> tuple[dict, bool]:
+    return {"formation": format_formation(params["formation"])}, True
+
+
+def _boundary_params(params: dict) -> tuple[dict, bool]:
+    F, universe = params["formation"], params["universe"]
+    if not supports_local_definition(F):
+        raise SpecParseError(f"local definition unavailable for {format_formation(F)}")
+    return {
+        "formation": format_formation(F),
+        "universe": sorted(universe) if universe else "all",
+    }, False
+
+
+@dataclass(frozen=True)
+class Check:
+    """One registry entry.
+
+    ``rows`` computes the rows of one corpus group.  ``defaults`` names every
+    parameter the check reads, with the value it takes when the parameter is
+    absent or empty; the CLI accepts exactly the options named here.
+    ``describe`` maps the resolved parameters to the report's params and
+    ``assertive`` flag, and rejects values the check cannot run with.  A
+    report without rows gets ``empty_note`` (if set) and the corpus's largest
+    order in its params.
+    """
+
+    rows: Callable[[CorpusEntry, dict], list[dict]]
+    defaults: dict = field(default_factory=dict)
+    describe: Callable[[dict], tuple[dict, bool]] = _no_params
+    empty_note: str | None = None
+
+    def configure(self, params: dict) -> tuple[dict, dict, bool]:
+        """The resolved parameters, the report's params and its assertive flag."""
+        resolved = {key: params.get(key) or default for key, default in self.defaults.items()}
+        return (resolved, *self.describe(resolved))
+
+
 CHECKS = {
-    "baer-a1": _check_baer_a1,
-    "cor-a4": _check_cor_a4,
-    "prop1": _check_prop1,
-    "theorem-a": _check_theorem_a,
-    "theorem-b": _check_theorem_b,
-    "prop2": _check_prop2,
-    "sidorov": _check_sidorov,
-    "lemmas": _check_lemmas,
-    "boundary": _check_boundary,
-    "delta-phi": _check_delta_phi,
+    "baer-a1": Check(_baer_a1),
+    "cor-a4": Check(_cor_a4),
+    "prop1": Check(_prop1, {"formation": NIL}, _formation_params),
+    "theorem-a": Check(
+        _theorem_a,
+        {"partition": []},
+        lambda p: (
+            {"partition": _partition_params(p["partition"])},
+            not _has_soluble_block(p["partition"]),
+        ),
+    ),
+    "theorem-b": Check(
+        _theorem_b,
+        {"formation": NIL},
+        lambda p: (_formation_params(p)[0], _is_lattice_formation(p["formation"])),
+    ),
+    "prop2": Check(
+        _prop2,
+        {"formation": NIL, "sigma": SYLOW},
+        lambda p: ({**_formation_params(p)[0], "sigma": p["sigma"].tag}, True),
+    ),
+    "sidorov": Check(_sidorov, {"rs": (1, 2, 3)}, lambda p: ({"rs": list(p["rs"])}, True)),
+    "lemmas": Check(
+        _lemmas,
+        {"formations": None, "formation": None},
+        lambda p: ({"formations": [format_formation(F) for F in _lemma_formations(p)]}, True),
+    ),
+    "boundary": Check(
+        _boundary,
+        {"formation": SUPERSOLUBLE, "universe": None},
+        _boundary_params,
+        empty_note="no counterexample",
+    ),
+    "delta-phi": Check(_delta_phi, {"formation": NIL}, _formation_params),
 }
 
 PARTITION_PRESETS: dict[str, list[tuple[frozenset[int], bool]]] = {
@@ -527,6 +493,27 @@ PARTITION_PRESETS: dict[str, list[tuple[frozenset[int], bool]]] = {
     "{2,3},{5}": [(frozenset({2, 3}), False), (frozenset({5}), False)],
     "{2,5},{3,7}": [(frozenset({2, 5}), False), (frozenset({3, 7}), False)],
 }
+
+_CROSS235 = parse_formation("cross[{2,3}:gpi;{5}:gpi]")
+
+DEFAULT_SUITE: tuple[tuple[str, dict], ...] = (
+    ("baer-a1", {}),
+    ("cor-a4", {}),
+    *(("prop1", {"formation": F}) for F in (NIL, SUPERSOLUBLE, _GPI23, _CROSS235)),
+    *(
+        ("theorem-a", {"partition": PARTITION_PRESETS[preset]})
+        for preset in ("singletons", "{2,3}", "{2,3},{5}", "{2,5},{3,7}")
+    ),
+    *(("theorem-b", {"formation": F}) for F in (NIL, _CROSS235, SUPERSOLUBLE)),
+    ("prop2", {"formation": NIL, "sigma": SYLOW}),
+    ("prop2", {"formation": NIL, "sigma": CYCLIC_PRIMARY}),
+    ("prop2", {"formation": SUPERSOLUBLE, "sigma": SYLOW}),
+    ("sidorov", {}),
+    ("lemmas", {}),
+    ("boundary", {"formation": SUPERSOLUBLE}),
+    *(("delta-phi", {"formation": F}) for F in (NIL, SUPERSOLUBLE, _GPI23)),
+)
+"""The full default matrix of checks, as ``(name, params)`` pairs."""
 
 
 def parse_partition(text: str) -> list[tuple[frozenset[int], bool]]:
@@ -554,19 +541,8 @@ def parse_partition(text: str) -> list[tuple[frozenset[int], bool]]:
         part = part.strip()
         if not part:
             continue
-        soluble = False
-        if part.endswith(":spi"):
-            soluble = True
-            part = part[: -len(":spi")]
-        elif part.endswith(":gpi"):
-            part = part[: -len(":gpi")]
-        body = part.strip()
-        if not (body.startswith("{") and body.endswith("}")):
-            raise SpecParseError(f"bad partition block {part!r}")
-        try:
-            primes = frozenset(int(tok) for tok in body[1:-1].split(",") if tok.strip())
-        except ValueError as exc:
-            raise SpecParseError(f"bad partition block {part!r}") from exc
+        soluble = part.endswith(":spi")
+        primes = _parse_primeset(part.removesuffix(":spi" if soluble else ":gpi"))
         if seen & primes:
             raise SpecParseError("partition blocks must be disjoint")
         seen |= primes
@@ -574,36 +550,40 @@ def parse_partition(text: str) -> list[tuple[frozenset[int], bool]]:
     return blocks
 
 
+def run_checks(configs: Iterable[tuple[str, dict]], corpus: Corpus) -> list[CheckReport]:
+    """Run ``(name, params)`` configurations over the corpus, group-major.
+
+    Every configuration is resolved before any group is touched.  Each group
+    then runs every check in configuration order; a report's ``elapsed_ms``
+    is the sum of its per-group times.  Returns one report per configuration.
+    """
+    plan = []
+    for name, params in configs:
+        if name not in CHECKS:
+            raise SpecParseError(f"unknown check {name!r}")
+        resolved, report_params, assertive = CHECKS[name].configure(params)
+        plan.append((CHECKS[name], resolved, CheckReport(name, report_params, [], assertive)))
+    seconds = [0.0] * len(plan)
+    max_order = 0
+    for entry in corpus:
+        max_order = max(max_order, entry.group.order)
+        for i, (check, resolved, report) in enumerate(plan):
+            start = time.perf_counter()
+            report.rows.extend(check.rows(entry, resolved))
+            seconds[i] += time.perf_counter() - start
+    for (check, _, report), spent in zip(plan, seconds):
+        report.rows.sort(key=lambda r: (r["order"], r["group"], r.get("note") or ""))
+        report.elapsed_ms = int(spent * 1000)
+        if check.empty_note and not report.rows:
+            report.params["note"] = f"{check.empty_note} up to order {max_order}"
+    return [report for _, _, report in plan]
+
+
 def run_check(name: str, params: dict, corpus: Corpus) -> CheckReport:
     """Run one named check; see CHECKS for the registry."""
-    if name not in CHECKS:
-        raise SpecParseError(f"unknown check {name!r}")
-    start = time.perf_counter()
-    report = CHECKS[name](corpus, params)
-    report.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return report
+    return run_checks([(name, params)], corpus)[0]
 
 
 def default_suite(corpus: Corpus) -> list[CheckReport]:
     """The full default matrix of checks over the corpus."""
-    gpi23 = Gpi(frozenset({2, 3}))
-    cross235 = parse_formation("cross[{2,3}:gpi;{5}:gpi]")
-    reports = [
-        run_check("baer-a1", {}, corpus),
-        run_check("cor-a4", {}, corpus),
-    ]
-    for F in (NIL, SUPERSOLUBLE, gpi23, cross235):
-        reports.append(run_check("prop1", {"formation": F}, corpus))
-    for preset in ("singletons", "{2,3}", "{2,3},{5}", "{2,5},{3,7}"):
-        reports.append(run_check("theorem-a", {"partition": PARTITION_PRESETS[preset]}, corpus))
-    for F in (NIL, cross235, SUPERSOLUBLE):
-        reports.append(run_check("theorem-b", {"formation": F}, corpus))
-    reports.append(run_check("prop2", {"formation": NIL, "sigma": SYLOW}, corpus))
-    reports.append(run_check("prop2", {"formation": NIL, "sigma": CYCLIC_PRIMARY}, corpus))
-    reports.append(run_check("prop2", {"formation": SUPERSOLUBLE, "sigma": SYLOW}, corpus))
-    reports.append(run_check("sidorov", {}, corpus))
-    reports.append(run_check("lemmas", {}, corpus))
-    reports.append(run_check("boundary", {"formation": SUPERSOLUBLE}, corpus))
-    for F in (NIL, SUPERSOLUBLE, gpi23):
-        reports.append(run_check("delta-phi", {"formation": F}, corpus))
-    return reports
+    return run_checks(DEFAULT_SUITE, corpus)

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .checks import CHECKS, default_suite, parse_partition, run_check
+from .checks import CHECKS, DEFAULT_SUITE, parse_partition, run_checks
 from .corpus import build_corpus, load_corpus_file
 from .errors import FlabError, SpecParseError
 from .formations import format_formation, parse_formation
@@ -31,6 +31,7 @@ from .lattice import lattice_summary
 from .report import render_report
 
 _SIGMA = {"sylow": SYLOW, "cyclic": CYCLIC_PRIMARY, "maximal": MAXIMAL}
+_CHECK_OPTIONS = ("formation", "partition", "sigma")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,12 +96,18 @@ def _default_max_order(args) -> int | None:
 
 def _cmd_verify(args) -> int:
     # parse every option before any group is built
-    if args.check != "all" and args.check not in CHECKS:
+    check = CHECKS.get(args.check)
+    if check is None and args.check != "all":
         raise SpecParseError(f"unknown check {args.check!r}; choose from {sorted(CHECKS)} or 'all'")
-    if args.check == "all":
-        given = [f"--{name}" for name in ("formation", "partition", "sigma") if getattr(args, name)]
-        if given:
-            raise UsageError(f"--check all takes no {', '.join(given)}; name a single check to set it")
+    # a check takes exactly the options its registry entry reads; 'all' reads none
+    reads = [name for name in _CHECK_OPTIONS if check and name in check.defaults]
+    given = [f"--{name}" for name in _CHECK_OPTIONS if getattr(args, name) and name not in reads]
+    if given:
+        if args.check == "all":
+            hint = "name a single check to set it"
+        else:
+            hint = "it reads " + (", ".join(f"--{name}" for name in reads) or "no options")
+        raise UsageError(f"--check {args.check} takes no {', '.join(given)}; {hint}")
     params: dict = {}
     if args.formation:
         params["formation"] = parse_formation(args.formation)
@@ -108,6 +115,8 @@ def _cmd_verify(args) -> int:
         params["partition"] = parse_partition(args.partition)
     if args.sigma:
         params["sigma"] = _SIGMA[args.sigma]
+    if check:
+        check.configure(params)  # refuses values the check cannot run with
     max_order = _default_max_order(args)
     if args.corpus == "builtin":
         corpus = build_corpus(max_order)
@@ -117,12 +126,9 @@ def _cmd_verify(args) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or "not a text file"
             raise UsageError(f"cannot read corpus file {args.corpus!r}: {reason}") from None
-    if args.check == "all":
-        reports = default_suite(corpus)
-    else:
-        reports = [run_check(args.check, params, corpus)]
     failed = False
-    for report in reports:
+    configs = DEFAULT_SUITE if args.check == "all" else [(args.check, params)]
+    for report in run_checks(configs, corpus):
         print(render_report(report, args.format))
         if args.format == "table":
             print()

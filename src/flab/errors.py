@@ -29,7 +29,7 @@ class NotNormal(FlabError, ValueError):
     """A quotient or factor was requested along a non-normal subgroup."""
 
 
-class ActionError(FlabError, ValueError):
+class ActionError(SpecParseError):
     """A semidirect-product action is not a homomorphism into Aut(N)."""
 
 

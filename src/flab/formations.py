@@ -135,7 +135,8 @@ def format_formation(F: FormationExpr) -> str:
     raise TypeError(f"not a formation expression: {F!r}")
 
 
-_PRIMESET_RE = re.compile(r"\{\s*(\d+(?:\s*,\s*\d+)*)\s*\}")
+# at most 12 digits per prime, so that trial division stays well under a second
+_PRIMESET_RE = re.compile(r"\{\s*(\d{1,12}(?:\s*,\s*\d{1,12})*)\s*\}")
 
 
 def _parse_primeset(text: str) -> frozenset[int]:

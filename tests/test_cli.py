@@ -131,6 +131,8 @@ def test_reports_byte_identical_across_processes():
         ["verify", "--partition", "{2,x}"],
         ["verify", "--check", "theorem-a", "--partition", "{2,x}"],
         ["analyze", "--group", "E(2^0)"],
+        ["verify", "--check", "theorem-a", "--partition", "{}"],
+        ["verify", "--check", "theorem-a", "--partition", "{0,1}"],
     ],
 )
 def test_bad_expression_exits_2_with_one_error_line(argv, capsys):
@@ -168,6 +170,36 @@ def test_check_all_rejects_parameter_options(extra, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: --check all takes no {extra[0]}; name a single check to set it\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--check", "baer-a1", "--formation", "U"], "--check baer-a1 takes no --formation; it reads no options"),
+        (["--check", "lemmas", "--sigma", "maximal"], "--check lemmas takes no --sigma; it reads --formation"),
+        (
+            ["--check", "prop2", "--partition", "{2,3}", "--sigma", "cyclic"],
+            "--check prop2 takes no --partition; it reads --formation, --sigma",
+        ),
+        (
+            ["--check", "theorem-a", "--formation", "N", "--sigma", "maximal"],
+            "--check theorem-a takes no --formation, --sigma; it reads --partition",
+        ),
+        (["--check", "boundary", "--formation", "Gpi{2}"], "local definition unavailable for Gpi{2}"),
+    ],
+    ids=["baer-a1", "lemmas", "prop2", "theorem-a", "boundary-class"],
+)
+def test_single_check_rejects_options_it_does_not_read(argv, message, monkeypatch, capsys):
+    import flab.cli
+
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("corpus built although the options are rejected")
+
+    monkeypatch.setattr(flab.cli, "build_corpus", no_corpus)
+    code = main(["verify", "--max-order", "6", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 def test_non_integer_max_order_env_exits_2(monkeypatch, capsys):

@@ -2,11 +2,18 @@ import json
 
 import pytest
 
-from flab.checks import PARTITION_PRESETS, parse_partition, run_check
-from flab.corpus import build_corpus, load_corpus_file
+from flab.checks import (
+    DEFAULT_SUITE,
+    PARTITION_PRESETS,
+    default_suite,
+    parse_partition,
+    run_check,
+    run_checks,
+)
+from flab.corpus import Corpus, CorpusEntry, build_corpus, load_corpus_file
 from flab.errors import SpecParseError
-from flab.formations import NIL, SUPERSOLUBLE
-from flab.intersections import SYLOW
+from flab.formations import NIL, SUPERSOLUBLE, Gpi, parse_formation
+from flab.intersections import CYCLIC_PRIMARY, SYLOW
 from flab.report import render_report
 
 
@@ -178,3 +185,59 @@ def test_failing_row_carries_witness():
     assert w["lhs_order"] != w["rhs_order"]
     assert w["lhs_fingerprint"] != w["rhs_fingerprint"]
     assert r.ok  # probe: exit status unaffected
+
+
+def test_group_major_suite_matches_each_check_alone(small_corpus):
+    together = run_checks(DEFAULT_SUITE, small_corpus)
+    assert len(together) == len(DEFAULT_SUITE) == 22
+    for (name, params), report in zip(DEFAULT_SUITE, together):
+        alone = run_check(name, params, small_corpus)
+        assert (report.check, report.params, report.assertive, report.rows) == (
+            alone.check, alone.params, alone.assertive, alone.rows,
+        ), name
+
+
+def test_default_suite_configurations_are_pinned():
+    gpi23 = Gpi(frozenset({2, 3}))
+    cross235 = parse_formation("cross[{2,3}:gpi;{5}:gpi]")
+    expected = [
+        ("baer-a1", {}),
+        ("cor-a4", {}),
+        ("prop1", {"formation": NIL}),
+        ("prop1", {"formation": SUPERSOLUBLE}),
+        ("prop1", {"formation": gpi23}),
+        ("prop1", {"formation": cross235}),
+        ("theorem-a", {"partition": []}),
+        ("theorem-a", {"partition": [(frozenset({2, 3}), False)]}),
+        ("theorem-a", {"partition": [(frozenset({2, 3}), False), (frozenset({5}), False)]}),
+        ("theorem-a", {"partition": [(frozenset({2, 5}), False), (frozenset({3, 7}), False)]}),
+        ("theorem-b", {"formation": NIL}),
+        ("theorem-b", {"formation": cross235}),
+        ("theorem-b", {"formation": SUPERSOLUBLE}),
+        ("prop2", {"formation": NIL, "sigma": SYLOW}),
+        ("prop2", {"formation": NIL, "sigma": CYCLIC_PRIMARY}),
+        ("prop2", {"formation": SUPERSOLUBLE, "sigma": SYLOW}),
+        ("sidorov", {}),
+        ("lemmas", {}),
+        ("boundary", {"formation": SUPERSOLUBLE}),
+        ("delta-phi", {"formation": NIL}),
+        ("delta-phi", {"formation": SUPERSOLUBLE}),
+        ("delta-phi", {"formation": gpi23}),
+    ]
+    assert list(DEFAULT_SUITE) == expected
+    reports = default_suite(build_corpus(6))
+    assert [r.check for r in reports] == [name for name, _ in expected]
+
+
+class _UntouchableGroup:
+    def __getattr__(self, name):
+        raise AssertionError(f"group read before the configurations were checked: {name}")
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_unknown_check_in_configurations_raises_before_any_group(position):
+    configs = [("baer-a1", {}), ("lemmas", {})]
+    configs.insert(position, ("no-such-check", {}))
+    corpus = Corpus((CorpusEntry("X", "X", _UntouchableGroup(), "file"),))
+    with pytest.raises(SpecParseError, match="no-such-check"):
+        run_checks(configs, corpus)
