@@ -332,10 +332,11 @@ def _cross_member_ref(F: Cross, X: SubgroupRef) -> bool:
 
 
 def formation_residual(F: FormationExpr, X: Group | SubgroupRef) -> SubgroupRef:
-    """Smallest normal subgroup with quotient in the class.
+    """Smallest normal subgroup with quotient in the class: the residual oracle.
 
     Computed as the intersection of all normal subgroups with member quotient;
     the quotient by the result is then re-verified to lie in the class.
+    :func:`residual_mask` is the fast path and is tested against this one.
     """
     X = as_ref(X)
     G = X.ambient
@@ -403,7 +404,7 @@ def _nil_residual_step(G: Group, mask: int, gen_idxs: list[int]) -> tuple[int, l
 
 
 def residual_mask(F: FormationExpr, X: SubgroupRef) -> int:
-    """Fast residual at index level (no quotient construction where avoidable).
+    """The residual's fast path, at index level (no quotient construction where avoidable).
 
     Cross-checked against :func:`formation_residual` by the test suite.
     """
@@ -482,15 +483,10 @@ def local_def_member(F: FormationExpr, p: int, X: Group | SubgroupRef) -> bool:
 
     qm = quotient(sub, op_mask, gens_for_mask(sub, op_mask))
     quo = qm.group
-    elems = quo.elements()
-    for a in elems:
-        if a.order() > 1 and (p - 1) % a.order() != 0:
-            return False
-    for a in quo.generators:
-        for b in quo.generators:
-            if a * b != b * a:
-                return False
-    return True
+    if any((p - 1) % quo.elt_order(a) for a in range(quo.order)):
+        return False
+    gens = quo.gen_idxs()
+    return all(quo.mul(a, b) == quo.mul(b, a) for a in gens for b in gens)
 
 
 def boundary_counterexample_search(

@@ -1,17 +1,25 @@
-"""Permutation groups: stabilizer chains, named constructors, products, quotients.
+"""Finite groups: stabilizer chains, named constructors, products, quotients.
 
-A :class:`Group` is an immutable value defined by its degree and generator
-list.  Order and membership come from a deterministic Schreier-Sims
-stabilizer chain; element enumeration, the index multiplication table and
-other caches are populated lazily and written once.
+A :class:`Group` is an immutable value built one of two ways.  A group from
+a spec (a named constructor, a product or ``perm(...)``) is given by its
+degree and generator list: order and membership come from a deterministic
+Schreier-Sims stabilizer chain, and its elements are enumerated on demand.
+A group from :meth:`Group.from_table` (quotients, subgroups as groups in
+their own right) is given by its multiplication table, built from its
+parent's table: its order is the number of rows, it builds no stabilizer
+chain, and permutations for its elements are made only if asked for.
+Either way the index multiplication table and other caches are populated
+lazily and written once.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
+from math import gcd
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from . import config
 from .errors import (
@@ -151,11 +159,20 @@ class StabilizerChain:
 # ---------------------------------------------------------------------------
 
 
-class Group:
-    """A finite permutation group on points 0..degree-1.
+def _typecode(n: int) -> str:
+    """Array typecode for the element indices of a group of order n."""
+    return "h" if n < 32768 else "l"
 
-    Instances are immutable; all lazy caches are write-once and idempotent,
-    so sharing a Group between threads is safe in the benign-race sense.
+
+class Group:
+    """A finite group; its elements are the indices 0..order-1.
+
+    A group built from generators acts on points 0..degree-1 and indexes its
+    elements in sorted order of their image tuples.  A group built by
+    :meth:`from_table` starts from its table and makes permutations only on
+    request.  Instances are immutable; all lazy caches are write-once and
+    idempotent, so sharing a Group between threads is safe in the
+    benign-race sense.
     """
 
     def __init__(self, degree: int, generators: Iterable[Permutation], name: str | None = None):
@@ -166,8 +183,11 @@ class Group:
             if not g.is_identity and g not in gens:
                 gens.append(g)
         self.degree = degree
-        self.generators: tuple[Permutation, ...] = tuple(gens)
+        self._generators: tuple[Permutation, ...] | None = tuple(gens)
         self.name = name
+        self._gen_idxs: tuple[int, ...] | None = None
+        self._perm_of: Callable[[int], Permutation] | None = None
+        self.ambient_idxs: tuple[int, ...] | None = None
         self._chain: StabilizerChain | None = None
         self._order: int | None = None
         self._elements: tuple[Permutation, ...] | None = None
@@ -185,7 +205,43 @@ class Group:
         self._normal_masks_by_mask: dict[int, tuple[int, ...]] = {}
         self._factor_products: dict[tuple[int, int], "Group"] = {}
 
+    @classmethod
+    def from_table(
+        cls,
+        rows: list[array],
+        inv: array,
+        identity_idx: int,
+        gen_idxs: Iterable[int],
+        name: str | None = None,
+        perm_of: Callable[[int], Permutation] | None = None,
+        degree: int | None = None,
+    ) -> "Group":
+        """A group given by its multiplication table; it builds no stabilizer chain.
+
+        ``rows`` and ``inv`` follow the conventions of :attr:`table` and
+        :meth:`inv`; the identity and repeats are dropped from ``gen_idxs``.
+        Permutations are made only on request: ``perm_of(i)`` on ``degree``
+        points if given, else the right regular representation, in which
+        element i acts on the indices as ``rows[i]`` (``x -> x * i``).
+        """
+        order = len(rows)
+        G = cls(order if perm_of is None else degree, (), name)
+        G._generators = None
+        G._perm_of = perm_of or (lambda i: Permutation._unsafe(tuple(rows[i])))
+        G._gen_idxs = tuple(g for g in dict.fromkeys(gen_idxs) if g != identity_idx)
+        G._order = order
+        G._identity_idx = identity_idx
+        G._table = rows
+        G._inv = inv
+        return G
+
     # -- basic structure ----------------------------------------------------
+
+    @property
+    def generators(self) -> tuple[Permutation, ...]:
+        if self._generators is None:
+            self._generators = tuple(map(self._perm_of, self._gen_idxs))  # type: ignore[arg-type]
+        return self._generators
 
     @property
     def chain(self) -> StabilizerChain:
@@ -201,7 +257,7 @@ class Group:
 
     @property
     def is_trivial(self) -> bool:
-        return not self.generators
+        return self.order == 1
 
     def __contains__(self, g: Permutation) -> bool:
         return self.chain.contains(g)
@@ -216,30 +272,42 @@ class Group:
     # -- element enumeration -------------------------------------------------
 
     def elements(self, limit: int | None = None) -> tuple[Permutation, ...]:
-        """All elements, sorted by image tuple; errors if order exceeds the cap."""
+        """All elements as permutations, in index order; errors if order exceeds the cap.
+
+        For a group built from generators this enumerates the group and fixes
+        its indexing (sorted by image tuple); a table group makes the
+        permutations of its existing indices.
+        """
         if self._elements is None:
             cap = config.ELEMENT_CAP if limit is None else limit
             if self.order > cap:
                 raise CapExceeded(f"order {self.order} exceeds element cap {cap}")
-            seen = {self.identity()}
-            frontier = [self.identity()]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = x * g
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            if len(seen) != self.order:
-                raise InternalCheckFailure("closure count disagrees with chain order")
-            self._elements = tuple(sorted(seen))
+            if self._perm_of is not None:
+                self._elements = tuple(map(self._perm_of, range(self.order)))
+            else:
+                self._elements = self._enumerate()
             self._index = {p: i for i, p in enumerate(self._elements)}
-            self._identity_idx = self._index[self.identity()]
+            if self._identity_idx is None:
+                self._identity_idx = self._index[self.identity()]
         elif limit is not None and len(self._elements) > limit:
             raise CapExceeded(f"order {self.order} exceeds element cap {limit}")
         return self._elements
+
+    def _enumerate(self) -> tuple[Permutation, ...]:
+        seen = {self.identity()}
+        frontier = [self.identity()]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in self.generators:
+                    y = x * g
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        if len(seen) != self.order:
+            raise InternalCheckFailure("closure count disagrees with chain order")
+        return tuple(sorted(seen))
 
     def element_index(self) -> dict[Permutation, int]:
         self.elements()
@@ -248,7 +316,8 @@ class Group:
 
     @property
     def identity_idx(self) -> int:
-        self.elements()
+        if self._identity_idx is None:
+            self.elements()
         assert self._identity_idx is not None
         return self._identity_idx
 
@@ -271,12 +340,12 @@ class Group:
         elems = self.elements()
         n = len(elems)
         idx = self.element_index()
-        typecode = "h" if n < 32768 else "l"
+        typecode = _typecode(n)
         rows: list[array | None] = [None] * n
         e = self.identity_idx
         rows[e] = array(typecode, range(n))
         frontier = [e]
-        gen_idx = [idx[g] for g in self.generators]
+        gen_idx = self.gen_idxs()
         gen_rows = {}
         for gi in gen_idx:
             g = elems[gi]
@@ -287,10 +356,10 @@ class Group:
                 ra = rows[a]
                 assert ra is not None
                 for gi in gen_idx:
-                    b = gen_rows[gi][a]  # index of elem[a] * gen
+                    rg = gen_rows[gi]
+                    b = rg[a]  # index of elem[a] * gen
                     if rows[b] is None:
-                        rg = gen_rows[gi]
-                        rows[b] = array(typecode, (rg[x] for x in ra))
+                        rows[b] = array(typecode, map(rg.__getitem__, ra))
                         nxt.append(b)
             frontier = nxt
         self._inv = array(typecode, (idx[p.inverse()] for p in elems))
@@ -328,20 +397,43 @@ class Group:
             inv = self._inv
             assert inv is not None
             rg = table[g]
-            ginv = inv[g]
-            row = array(inv.typecode, (rg[tx[ginv]] for tx in table))
+            row = array(inv.typecode, map(rg.__getitem__, map(itemgetter(inv[g]), table)))
             self._conj_rows[g] = row
         return row
 
     def elt_order(self, i: int) -> int:
-        if self._elt_orders is None:
-            elems = self.elements()
-            self._elt_orders = array("l", (p.order() for p in elems))
-        return self._elt_orders[i]
+        """Order of element i, read from the table.
+
+        Each walk through the powers of an element not yet seen fixes the
+        orders of all those powers: ord(x^j) = ord(x) / gcd(j, ord(x)).
+        """
+        orders = self._elt_orders
+        if orders is None:
+            table = self.table
+            e = self.identity_idx
+            orders = array("l", [0]) * self.order
+            orders[e] = 1
+            for x in range(self.order):
+                if orders[x]:
+                    continue
+                row = table[x]
+                powers = [x]
+                y = row[x]
+                while y != e:
+                    powers.append(y)
+                    y = row[y]
+                k = len(powers) + 1
+                for j, y in enumerate(powers, 1):
+                    if not orders[y]:
+                        orders[y] = k // gcd(j, k)
+            self._elt_orders = orders
+        return orders[i]
 
     def gen_idxs(self) -> tuple[int, ...]:
-        idx = self.element_index()
-        return tuple(idx[g] for g in self.generators)
+        if self._gen_idxs is None:
+            idx = self.element_index()
+            self._gen_idxs = tuple(idx[g] for g in self.generators)
+        return self._gen_idxs
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +627,6 @@ def elementary_abelian(p: int, k: int) -> Group:
     return Group(degree, gens, name=f"E({p}^{k})")
 
 
-def from_generators(degree: int, perms: Sequence[Permutation], name: str | None = None) -> Group:
-    return Group(degree, perms, name=name)
-
-
 # ---------------------------------------------------------------------------
 # Products
 # ---------------------------------------------------------------------------
@@ -678,43 +766,33 @@ def semidirect_product(
 
 @dataclass
 class QuotientMap:
-    """A quotient group together with the projection onto coset points."""
+    """A quotient group together with the projection onto it.
+
+    Element c of ``group`` is the coset with id c, so the projection of
+    source element i is ``coset_of[i]``.
+    """
 
     source: Group
     group: Group
-    coset_of: tuple[int, ...]  # source element index -> coset id (= point)
+    coset_of: tuple[int, ...]  # source element index -> coset id (= quotient element)
     reps: tuple[int, ...]  # coset id -> least source element index in the coset
-    _elem_image: list[int] | None = field(default=None, repr=False)
-
-    def _images(self) -> list[int]:
-        if self._elem_image is None:
-            src, quo = self.source, self.group
-            qidx = quo.element_index()
-            m = len(self.reps)
-            images = []
-            for i in range(src.order):
-                perm = Permutation(self.coset_of[src.mul(self.reps[c], i)] for c in range(m))
-                images.append(qidx[perm])
-            self._elem_image = images
-        return self._elem_image
 
     def image_index(self, i: int) -> int:
-        return self._images()[i]
+        return self.coset_of[i]
 
     def image_mask(self, mask: int) -> int:
-        images = self._images()
+        coset_of = self.coset_of
         out = 0
         m = mask
         while m:
             low = m & -m
-            out |= 1 << images[low.bit_length() - 1]
+            out |= 1 << coset_of[low.bit_length() - 1]
             m ^= low
         return out
 
     def preimage_mask(self, mask: int) -> int:
-        images = self._images()
         out = 0
-        for i, q in enumerate(images):
+        for i, q in enumerate(self.coset_of):
             if (mask >> q) & 1:
                 out |= 1 << i
         return out
@@ -723,19 +801,23 @@ class QuotientMap:
 def quotient(G: Group, normal_mask: int, normal_gen_idxs: Sequence[int]) -> QuotientMap:
     """Quotient of G by a normal subgroup given as an element-index mask.
 
-    The quotient acts faithfully on the right cosets; coset ids are assigned
-    in order of least contained element index, so the construction is
-    deterministic.  Maps are cached on the source group per normal subgroup.
+    Coset ids are assigned in order of least contained element index, and
+    element c of the quotient is coset c, so the construction is
+    deterministic.  The quotient is a table group read off G's table:
+    ``table[d][c]`` is the coset of ``reps[c] * reps[d]``.  Asked for
+    permutations, its elements act on the cosets by right multiplication.
+    Maps are cached on the source group per normal subgroup.
     """
     cached = G._quotients.get(normal_mask)
     if cached is not None:
         return cached
-    G.elements()
-    n = G.order
-    for g in G.gen_idxs():
+    gen_idxs = G.gen_idxs()
+    for g in gen_idxs:
         for h in normal_gen_idxs:
             if not (normal_mask >> G.conj(h, g)) & 1:
                 raise NotNormal("subgroup is not normal in the ambient group")
+    table = G.table
+    n = G.order
     coset_of = [-1] * n
     reps: list[int] = []
     members = []
@@ -749,18 +831,53 @@ def quotient(G: Group, normal_mask: int, normal_gen_idxs: Sequence[int]) -> Quot
             continue
         cid = len(reps)
         reps.append(i)
-        for x in members:
-            coset_of[G.mul(x, i)] = cid
+        for y in map(table[i].__getitem__, members):
+            coset_of[y] = cid
     count = len(reps)
-    qgens = []
-    for g in G.gen_idxs():
-        qgens.append(Permutation(coset_of[G.mul(reps[c], g)] for c in range(count)))
-    quo = Group(max(count, 1), qgens, name=f"{G.name}/N" if G.name else None)
-    if quo.order * len(members) != n:
+    if count * len(members) != n:
         raise InternalCheckFailure("quotient order mismatch")
+    typecode = _typecode(count)
+    coset = coset_of.__getitem__
+    rows = [array(typecode, map(coset, map(table[d].__getitem__, reps))) for d in reps]
+    inv = array(typecode, map(coset, map(G.inv, reps)))
+    quo = Group.from_table(
+        rows,
+        inv,
+        coset_of[G.identity_idx],
+        [coset_of[g] for g in gen_idxs],
+        name=f"{G.name}/N" if G.name else None,
+    )
     qm = QuotientMap(G, quo, tuple(coset_of), tuple(reps))
     G._quotients[normal_mask] = qm
     return qm
+
+
+def restriction(G: Group, members: Sequence[int], gen_idxs: Iterable[int]) -> Group:
+    """The subgroup of G on the given ascending element indices, as a table group.
+
+    Its element i is G's element ``members[i]``, so its table is G's table
+    restricted to the members, its element permutations are G's own and
+    ``ambient_idxs`` records the members.  ``gen_idxs`` are G-indices of
+    generators; the caller guarantees the members form a subgroup.
+    """
+    rank = [-1] * G.order
+    for i, a in enumerate(members):
+        rank[a] = i
+    typecode = _typecode(len(members))
+    table = G.table
+    rank_of = rank.__getitem__
+    rows = [array(typecode, map(rank_of, map(table[a].__getitem__, members))) for a in members]
+    inv = array(typecode, map(rank_of, map(G.inv, members)))
+    sub = Group.from_table(
+        rows,
+        inv,
+        rank[G.identity_idx],
+        [rank[g] for g in gen_idxs],
+        perm_of=lambda i: G.perm_at(members[i]),
+        degree=G.degree,
+    )
+    sub.ambient_idxs = tuple(members)
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -882,9 +999,12 @@ def _split_atom(text: str) -> tuple:
         if len(segments) < 2:
             raise SpecParseError(f"perm(...) needs a degree and at least one generator: {text!r}")
         try:
-            return ("perm", int(segments[0]), segments[1:])
+            degree = int(segments[0])
         except ValueError as exc:
             raise SpecParseError(f"bad degree in {text!r}") from exc
+        if degree < 0:
+            raise SpecParseError(f"negative degree in {text!r}")
+        return ("perm", degree, segments[1:])
     if text[:1] in ("C", "D", "S", "A") and text[1:].isdigit():
         try:
             return (text[0], int(text[1:]))
@@ -896,7 +1016,7 @@ def _split_atom(text: str) -> tuple:
 _NAMED = {"C": cyclic, "D": dihedral, "S": symmetric, "A": alternating, "E": elementary_abelian}
 
 
-def _parse_atom(text: str) -> Group:
+def _parse_atom(text: str, cap: int) -> Group:
     text = text.strip()
     kind, *args = _split_atom(text)
     if kind == "Q8":
@@ -905,8 +1025,11 @@ def _parse_atom(text: str) -> Group:
         return special_linear_2_3()
     if kind == "sd":
         n_spec, h_spec, action_text = args
-        N = _parse_spec(n_spec)
-        H = _parse_spec(h_spec)
+        N = _parse_spec(n_spec, cap)
+        H = _parse_spec(h_spec, cap)
+        # factor orders come from their chains; refuse before the action check enumerates them
+        if N.order * H.order > cap:
+            raise CapExceeded(f"group order {N.order * H.order} exceeds cap {cap}")
         action = _parse_action(action_text, N, H)
         return semidirect_product(N, H, action, name=text)
     if kind == "perm":
@@ -928,8 +1051,8 @@ def _split_factors(text: str) -> list[str]:
     return _split_top_level(text, " x ")
 
 
-def _parse_spec(text: str) -> Group:
-    groups = [_parse_atom(f) for f in _split_factors(text)]
+def _parse_spec(text: str, cap: int) -> Group:
+    groups = [_parse_atom(f, cap) for f in _split_factors(text)]
     result = groups[0]
     for g in groups[1:]:
         result = direct_product(result, g)
@@ -963,7 +1086,8 @@ def _atom_order_bound(text: str, cap: int) -> int:
         return _capped_product((_order_bound(args[0], cap), _order_bound(args[1], cap)), cap)
     if kind == "E":
         p, k = args
-        return _capped_product(repeat(p, k), cap) if p >= 2 else 1
+        # p >= 2 passes the cap within cap.bit_length() + 1 factors; k may not fit a C size
+        return _capped_product(repeat(p, min(k, cap.bit_length() + 1)), cap) if p >= 2 else 1
     if kind == "S":
         return _capped_product(range(2, args[0] + 1), cap)
     if kind == "A":
@@ -979,13 +1103,15 @@ def make_group(spec: str, order_cap: int | None = None) -> Group:
     """Parse a group spec and construct the group; enforces the order cap.
 
     The cap is applied to the order read from the spec before anything is
-    built, and again to the built group (whose perm(...) atoms have orders
-    known only then).
+    built, to each sd(...) once its two factors are built and before its
+    action is checked, and again to the built group.  perm(...) atoms have
+    orders known only from their stabilizer chains, so the two later checks
+    catch them; neither enumerates an element.
     """
     cap = config.ORDER_CAP if order_cap is None else order_cap
     if _order_bound(spec, cap) > cap:
         raise CapExceeded(f"group order exceeds cap {cap}")
-    group = _parse_spec(spec)
+    group = _parse_spec(spec, cap)
     if group.order > cap:
         raise CapExceeded(f"group order {group.order} exceeds cap {cap}")
     return group

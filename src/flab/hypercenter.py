@@ -155,7 +155,6 @@ def hypercenter(test: MembershipTest, G: Group, method: str = "auto") -> Subgrou
         cached = G._hypercenters.get(memo_key)
         if cached is not None:
             return cached
-    G.elements()
     current = trivial_subgroup(G)
     full = full_subgroup(G)
     while current.mask != full.mask:

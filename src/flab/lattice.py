@@ -97,7 +97,6 @@ def _cyclic_subgroups(G: Group) -> dict[int, int]:
 
 def _enumerate_subgroups(G: Group) -> list[int]:
     """Masks of all subgroups of G."""
-    G.elements()
     n = G.order
     e = G.identity_idx
     full_mask = (1 << n) - 1

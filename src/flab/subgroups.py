@@ -1,17 +1,18 @@
 """Subgroups of a fixed ambient group, stored as element-index bitmasks.
 
 A :class:`SubgroupRef` identifies a subgroup by the bitmask of its element
-indices inside the ambient group's sorted element list; the mask doubles as
+indices inside the ambient group's element list; the mask doubles as
 the canonical fingerprint.  All operators here work at index level and need
 the ambient group's elements and multiplication table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotASubgroup
-from .groups import Group, quotient
+from .groups import Group, quotient, restriction
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -20,10 +21,6 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 class SubgroupRef:
@@ -207,12 +204,10 @@ def subgroup_from_mask(G: Group, mask: int, gen_idxs: Sequence[int] | None = Non
 
 
 def trivial_subgroup(G: Group) -> SubgroupRef:
-    G.elements()
     return SubgroupRef(G, 1 << G.identity_idx, ())
 
 
 def full_subgroup(G: Group) -> SubgroupRef:
-    G.elements()
     return SubgroupRef(G, (1 << G.order) - 1, G.gen_idxs())
 
 
@@ -221,14 +216,19 @@ def as_ref(X: Group | SubgroupRef) -> SubgroupRef:
 
 
 def subgroup_to_group(ref: SubgroupRef) -> Group:
-    """The subgroup as a Group in its own right (same degree, cached per mask)."""
+    """The subgroup as a Group in its own right (cached per mask).
+
+    A proper subgroup is a table group whose indexing is the ambient
+    group's restricted to the subgroup (see :func:`groups.restriction`); its
+    element permutations are the ambient group's own.
+    """
     G = ref.ambient
     cached = G._subgroup_groups.get(ref.mask)
     if cached is None:
         if ref.is_full:
             cached = G
         else:
-            cached = Group(G.degree, [G.perm_at(i) for i in ref.gen_idxs])
+            cached = restriction(G, tuple(bits(ref.mask)), ref.gen_idxs)
         G._subgroup_groups[ref.mask] = cached
     return cached
 
@@ -237,19 +237,21 @@ def translate_mask(X: SubgroupRef, mask: int, to_ambient: bool = False) -> int:
     """Translate a mask between the ambient indexing and that of ``subgroup_to_group(X)``.
 
     By default a mask of elements of X in the ambient group's indexing is
-    mapped to the subgroup's own element indices; ``to_ambient=True`` maps
-    the other way.  When X is the full group the two indexings coincide.
+    mapped to the subgroup's own element indices, each element's rank among
+    the members of X; ``to_ambient=True`` maps the other way.  When X is the
+    full group the two indexings coincide.
     """
-    G = X.ambient
     sub = subgroup_to_group(X)
-    if sub is G:
+    if sub is X.ambient:
         return mask
-    index = G.element_index()
-    ambient_of = [index[p] for p in sub.elements()]
-    image = ambient_of if to_ambient else {a: i for i, a in enumerate(ambient_of)}
+    members = sub.ambient_idxs
     out = 0
-    for i in bits(mask):
-        out |= 1 << image[i]
+    if to_ambient:
+        for i in bits(mask):
+            out |= 1 << members[i]
+    else:
+        for a in bits(mask):
+            out |= 1 << bisect_left(members, a)
     return out
 
 
@@ -394,12 +396,6 @@ def join(A: SubgroupRef, B: SubgroupRef) -> SubgroupRef:
         return B
     mask = closure_mask(A.ambient, A.gen_idxs + B.gen_idxs, base=A.mask)
     return subgroup_from_mask(A.ambient, mask)
-
-
-def intersect(A: SubgroupRef, B: SubgroupRef) -> SubgroupRef:
-    if A.ambient is not B.ambient:
-        raise NotASubgroup("operands live in different ambient groups")
-    return subgroup_from_mask(A.ambient, A.mask & B.mask)
 
 
 def product_mask(G: Group, A: SubgroupRef, B: SubgroupRef) -> int:

@@ -2,7 +2,10 @@
 
 Everything here works directly on Permutation objects and frozensets, never
 through the library's index machinery, so oracle results are independent of
-the code paths they check.
+the code paths they check.  Two families read the library's element indices
+but none of its fast paths: the reference index-level kernels, and
+``quotient_by_permutations``, which reads cosets off the source group's table
+and builds the quotient from permutations.
 """
 
 from __future__ import annotations
@@ -227,3 +230,34 @@ def normal_subgroups_bf(G) -> set[frozenset[Permutation]]:
         for H in subgroups_by_cyclic_extension(G)
         if all(h.conjugate(g) in H for g in elems for h in H)
     }
+
+
+def quotient_by_permutations(G, normal_mask: int):
+    """Oracle for ``groups.quotient``: G/N as a permutation group on the right cosets.
+
+    This is the construction ``quotient`` used before quotients became table
+    groups: coset ids in order of least element index, one coset permutation
+    per generator of G, and a fresh Schreier-Sims group on them, whose
+    elements are then enumerated and sorted.  Returns that group, the coset id
+    of each element of G, and the coset permutation of each element of G.
+    """
+    from flab.groups import Group
+
+    n = G.order
+    members = [i for i in range(n) if (normal_mask >> i) & 1]
+    coset_of = [-1] * n
+    reps: list[int] = []
+    for i in range(n):
+        if coset_of[i] != -1:
+            continue
+        cid = len(reps)
+        reps.append(i)
+        for x in members:
+            coset_of[G.mul(x, i)] = cid
+    count = len(reps)
+
+    def coset_perm(g: int) -> Permutation:
+        return Permutation(coset_of[G.mul(reps[c], g)] for c in range(count))
+
+    quo = Group(count, [coset_perm(g) for g in G.gen_idxs()])
+    return quo, coset_of, [coset_perm(i) for i in range(n)]

@@ -90,6 +90,7 @@ def test_order_cap():
         "E(170141183460469231731687303715884105727^1)",  # a Mersenne prime
         "S6 x S6 x S6",
         "sd(C1000,C1000,n0->n0)",
+        "E(2^9223372036854775808)",
     ],
 )
 def test_order_cap_refuses_before_building(spec, monkeypatch):
@@ -102,6 +103,23 @@ def test_order_cap_refuses_before_building(spec, monkeypatch):
     with pytest.raises(CapExceeded):
         make_group(spec)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "sd(perm(6; (0 1 2 3 4 5); (0 1)),C2,n0->n0,n1->n1)",
+        "sd(C2,perm(6; (0 1 2 3 4 5); (0 1)),n0->n0|n0->n0)",
+        "C2 x sd(C3 x perm(5; (0 1 2 3 4); (0 1)),C2,n0->n0,n1->n1)",
+    ],
+)
+def test_order_cap_refuses_perm_factor_before_enumerating(spec, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("elements enumerated before the cap check")
+
+    monkeypatch.setattr(groups_mod.Group, "elements", refuse)
+    with pytest.raises(CapExceeded):
+        make_group(spec, order_cap=200)
 
 
 def test_order_read_from_spec_matches_built_order():
@@ -311,6 +329,6 @@ def test_parse_nested_product():
 
 
 def test_parse_errors():
-    for bad in ("", "X7", "E(4^2)", "sd(C3,C2)", "C0", "perm(3)", "sd(C3,C2,n5->n0)"):
+    for bad in ("", "X7", "E(4^2)", "sd(C3,C2)", "C0", "perm(3)", "perm(-1; ())", "sd(C3,C2,n5->n0)"):
         with pytest.raises(SpecParseError):
             make_group(bad)
