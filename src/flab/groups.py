@@ -204,6 +204,8 @@ class Group:
         self._hypercenters: dict = {}
         self._normal_masks_by_mask: dict[int, tuple[int, ...]] = {}
         self._factor_products: dict[tuple[int, int], "Group"] = {}
+        self._central_verdicts: dict[tuple, bool] = {}
+        self._minimal_above: dict[int, tuple[int, ...]] = {}
 
     @classmethod
     def from_table(
@@ -402,7 +404,14 @@ class Group:
         return row
 
     def elt_order(self, i: int) -> int:
-        """Order of element i, read from the table.
+        """Order of element i (see :meth:`elt_orders`)."""
+        orders = self._elt_orders
+        if orders is None:
+            orders = self.elt_orders()
+        return orders[i]
+
+    def elt_orders(self) -> array:
+        """The order of every element, by index, read from the table.
 
         Each walk through the powers of an element not yet seen fixes the
         orders of all those powers: ord(x^j) = ord(x) / gcd(j, ord(x)).
@@ -427,7 +436,7 @@ class Group:
                     if not orders[y]:
                         orders[y] = k // gcd(j, k)
             self._elt_orders = orders
-        return orders[i]
+        return orders
 
     def gen_idxs(self) -> tuple[int, ...]:
         if self._gen_idxs is None:
@@ -1004,6 +1013,8 @@ def _split_atom(text: str) -> tuple:
             raise SpecParseError(f"bad degree in {text!r}") from exc
         if degree < 0:
             raise SpecParseError(f"negative degree in {text!r}")
+        if degree > config.PERM_DEGREE_CAP:
+            raise SpecParseError(f"perm degree {degree} exceeds cap {config.PERM_DEGREE_CAP}")
         return ("perm", degree, segments[1:])
     if text[:1] in ("C", "D", "S", "A") and text[1:].isdigit():
         try:

@@ -4,17 +4,19 @@ Two independent centrality tests are provided: the oracle builds the
 semidirect product of the factor with the acting quotient and tests class
 membership; the local test checks membership of the acting quotient in the
 canonical local class at each relevant prime.  The hypercenter is computed by
-greedy ascent through minimal normal subgroups and then re-verified.
+greedy ascent through minimal normal subgroups and then re-verified; both
+read one cached verdict per chief factor, class and method.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Union
 
 from . import config
 from .errors import InternalCheckFailure, OracleCapExceeded
-from .groups import Group, quotient
+from .groups import Group, QuotientMap, _typecode, quotient
 from .perms import Permutation
 from .series import ChiefFactor, _chief_masks_to, _minimal_normal_above
 from .subgroups import (
@@ -52,10 +54,11 @@ def _factor_quotient_data(G: Group, factor: ChiefFactor) -> tuple[SubgroupRef, i
 def build_factor_action_product(G: Group, factor: ChiefFactor, cap: int | None = None) -> Group:
     """The semidirect product (H/K) x| (G/C) with the conjugation action.
 
-    Realised on the cosets of K in H: the factor acts by right translation and
-    the acting quotient by conjugation.  The quotient G/C embeds in the
-    automorphisms of the factor (C is exactly the kernel), so this action is
-    faithful and the product has order |H/K| * |G/C|.
+    The quotient G/C embeds in the automorphisms of the factor (C is exactly
+    the kernel), so the product has order |H/K| * |G/C|.  Up to
+    ``ELEMENT_CAP`` it is a table group read off G's table; above it, it is a
+    permutation group on the cosets of K in H, because membership beyond the
+    element cap is decided from a stabilizer chain.  Cached on G per factor.
     """
     cap = config.ORACLE_CAP if cap is None else cap
     cent, acting = _factor_quotient_data(G, factor)
@@ -68,17 +71,86 @@ def build_factor_action_product(G: Group, factor: ChiefFactor, cap: int | None =
     cached = G._factor_products.get(cache_key)
     if cached is not None:
         return cached
-    kmask = factor.below.mask
-    kmembers = list(bits(kmask))
-    coset_of = {}
-    reps = []
+    coset_of, reps = _factor_cosets(G, factor)
+    if m * acting <= config.ELEMENT_CAP:
+        W = _table_product(G, factor, coset_of, reps, quotient(G, cent.mask, cent.gen_idxs))
+    else:
+        W = _permutation_product(G, factor, coset_of, reps)
+        if W.order != m * acting:
+            raise InternalCheckFailure("oracle product has unexpected order")
+    G._factor_products[cache_key] = W
+    return W
+
+
+def _factor_cosets(G: Group, factor: ChiefFactor) -> tuple[dict[int, int], list[int]]:
+    """The cosets of K in H: coset id of each element of H, and the least element of each coset."""
+    table = G.table
+    kmembers = list(bits(factor.below.mask))
+    coset_of: dict[int, int] = {}
+    reps: list[int] = []
     for i in bits(factor.above.mask):
         if i in coset_of:
             continue
         cid = len(reps)
         reps.append(i)
-        for x in kmembers:
-            coset_of[G.mul(x, i)] = cid
+        for x in map(table[i].__getitem__, kmembers):
+            coset_of[x] = cid
+    return coset_of, reps
+
+
+def _table_product(
+    G: Group,
+    factor: ChiefFactor,
+    coset_of: dict[int, int],
+    reps: list[int],
+    acting: QuotientMap,
+) -> Group:
+    """(H/K) x| A, A = G/C, as a table group.
+
+    Element (c, a) has index a*m + c, m = |H/K|, and A acts on the right by
+    conjugation with coset representatives: (c1, a1)(c2, a2) =
+    (c1 * c2^(a1^-1), a1 * a2).
+    """
+    table = G.table
+    m = len(reps)
+    A = acting.group
+    a_table = A.table
+    a_inv = [A.inv(a) for a in range(A.order)]
+    # right multiplication in H/K: factor_rows[d][c] = c * d
+    factor_rows = [[coset_of[x] for x in map(table[d].__getitem__, reps)] for d in reps]
+    # the action: act[a][c] = c^a, conjugation by a representative of a
+    act = []
+    for g in acting.reps:
+        ginv = G.inv(g)
+        row_g = table[g]
+        act.append([coset_of[row_g[table[r][ginv]]] for r in reps])
+    typecode = _typecode(m * A.order)
+    rows = []
+    for a2 in range(A.order):
+        a_row = a_table[a2]
+        for c2 in range(m):
+            row: list[int] = []
+            for a1 in range(A.order):
+                row += map((a_row[a1] * m).__add__, factor_rows[act[a_inv[a1]][c2]])
+            rows.append(array(typecode, row))
+    factor_inv = [coset_of[G.inv(r)] for r in reps]
+    inv = array(
+        typecode,
+        (a_inv[a] * m + act[a][factor_inv[c]] for a in range(A.order) for c in range(m)),
+    )
+    c_e = coset_of[G.identity_idx]
+    a_e = A.identity_idx
+    gens = [a_e * m + coset_of[h] for h in factor.above.gen_idxs]
+    gens += [a * m + c_e for a in A.gen_idxs()]
+    return Group.from_table(rows, inv, a_e * m + c_e, gens, name="factor-action-product")
+
+
+def _permutation_product(
+    G: Group, factor: ChiefFactor, coset_of: dict[int, int], reps: list[int]
+) -> Group:
+    """(H/K) x| (G/C) on the cosets of K in H: the factor acts by right
+    translation and G by conjugation, which is faithful modulo C."""
+    m = len(reps)
     gens = []
     for h in factor.above.gen_idxs:
         gens.append(Permutation(coset_of[G.mul(reps[c], h)] for c in range(m)))
@@ -87,11 +159,7 @@ def build_factor_action_product(G: Group, factor: ChiefFactor, cap: int | None =
         gens.append(
             Permutation(coset_of[G.mul(G.mul(ginv, reps[c]), g)] for c in range(m))
         )
-    W = Group(m, gens, name="factor-action-product")
-    if W.order != m * acting:
-        raise InternalCheckFailure("oracle product has unexpected order")
-    G._factor_products[cache_key] = W
-    return W
+    return Group(m, gens, name="factor-action-product")
 
 
 def is_f_central_oracle(
@@ -139,13 +207,31 @@ def is_f_central(
     raise ValueError(f"unknown method {method!r}")
 
 
+def _central(test: MembershipTest, G: Group, below: SubgroupRef, above: SubgroupRef, method: str) -> bool:
+    """Whether the chief factor above/below is central.
+
+    Verdicts for class expressions are decided once per group and cached per
+    (below, above, class, method); a callable predicate has no stable key
+    and is decided on every call.
+    """
+    if callable(test):
+        return is_f_central(test, G, ChiefFactor(G, below, above), method).central
+    key = (below.mask, above.mask, test, method)
+    verdict = G._central_verdicts.get(key)
+    if verdict is None:
+        verdict = is_f_central(test, G, ChiefFactor(G, below, above), method).central
+        G._central_verdicts[key] = verdict
+    return verdict
+
+
 def hypercenter(test: MembershipTest, G: Group, method: str = "auto") -> SubgroupRef:
     """The class hypercenter: greedy ascent through central minimal normal factors.
 
     The ascent is valid when the class is a formation; the result is
     post-verified (all chief factors below it central, no central factor
     directly above), so a non-formation membership test is flagged by the
-    verification instead of being silently accepted.
+    verification instead of being silently accepted.  Both read the
+    per-factor verdicts of :func:`_central`, so each factor is decided once.
     """
     from .formations import formation_key
 
@@ -161,8 +247,7 @@ def hypercenter(test: MembershipTest, G: Group, method: str = "auto") -> Subgrou
         step = None
         for mask in _minimal_normal_above(G, current.mask):
             above = subgroup_from_mask(G, mask)
-            factor = ChiefFactor(G, current, above)
-            if is_f_central(test, G, factor, method).central:
+            if _central(test, G, current, above, method):
                 step = above
                 break
         if step is None:
@@ -180,10 +265,9 @@ def _verify_hypercenter(
     # every factor of a chief series through Z and below it must be central
     series = [subgroup_from_mask(G, m) for m in _chief_masks_to(G, Z.mask)]
     for below, above in zip(series, series[1:]):
-        if not is_f_central(test, G, ChiefFactor(G, below, above), method).central:
+        if not _central(test, G, below, above, method):
             raise InternalCheckFailure("hypercenter contains a non-central factor")
     if Z.mask != full_subgroup(G).mask:
         for mask in _minimal_normal_above(G, Z.mask):
-            factor = ChiefFactor(G, Z, subgroup_from_mask(G, mask))
-            if is_f_central(test, G, factor, method).central:
+            if _central(test, G, Z, subgroup_from_mask(G, mask), method):
                 raise InternalCheckFailure("hypercenter is not maximal")

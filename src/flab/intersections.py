@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .errors import NotASubgroup
 from .formations import (
     FormationExpr,
-    formation_key,
     formation_member,
     residual_mask,
 )
@@ -30,9 +29,8 @@ from .subgroups import (
     SubgroupRef,
     as_ref,
     bits,
+    _mask_of_images,
     conjugacy_orbit,
-    conjugate_mask,
-    full_subgroup,
     normalizer,
     prime_factors,
     subgroup_from_mask,
@@ -137,7 +135,7 @@ def _member_idx(lat: SubgroupLattice, F: FormationExpr, i: int) -> bool:
     length, prime-index maximal subgroups for supersoluble) are checked
     against the definitional tests by the test suite.
     """
-    key = ("member", formation_key(F))
+    key = ("member", F)
     table = lat.memo.get(key)
     if table is None:
         table = {}
@@ -205,6 +203,7 @@ def _normalizer_class_intersection(X: SubgroupRef, refs: list[SubgroupRef]) -> i
     X-conjugacy class is computed by scanning and the rest by conjugating it.
     """
     G = X.ambient
+    rows = [G.conj_row(g) for g in X.gen_idxs]
     mask = X.mask
     seen: set[int] = set()
     for ref in refs:
@@ -216,10 +215,14 @@ def _normalizer_class_intersection(X: SubgroupRef, refs: list[SubgroupRef]) -> i
         while frontier:
             nxt = []
             for m, nm in frontier:
-                for g in X.gen_idxs:
-                    cm = conjugate_mask(G, m, g)
+                m_members = list(bits(m))
+                nm_members = None
+                for row in rows:
+                    cm = _mask_of_images(row, m_members)
                     if cm not in orbit_pairs:
-                        cnm = conjugate_mask(G, nm, g)
+                        if nm_members is None:
+                            nm_members = list(bits(nm))
+                        cnm = _mask_of_images(row, nm_members)
                         orbit_pairs[cm] = cnm
                         nxt.append((cm, cnm))
             frontier = nxt
@@ -257,7 +260,7 @@ def _core_mask(lat: SubgroupLattice, t_idx: int, m_idx: int) -> int:
     cached = lat.memo.get(key)
     if cached is None:
         G = lat.ambient
-        top = lat.refs[t_idx]
+        rows = [G.conj_row(g) for g in lat.refs[t_idx].gen_idxs]
         mask = lat.refs[m_idx].mask
         out = mask
         seen = {mask}
@@ -265,11 +268,9 @@ def _core_mask(lat: SubgroupLattice, t_idx: int, m_idx: int) -> int:
         while frontier:
             nxt = []
             for m in frontier:
-                for g in top.gen_idxs:
-                    row = G.conj_row(g)
-                    c = 0
-                    for x in bits(m):
-                        c |= 1 << row[x]
+                members = list(bits(m))
+                for row in rows:
+                    c = _mask_of_images(row, members)
                     if c not in seen:
                         seen.add(c)
                         nxt.append(c)
@@ -281,7 +282,7 @@ def _core_mask(lat: SubgroupLattice, t_idx: int, m_idx: int) -> int:
 
 
 def _residual_idx(lat: SubgroupLattice, F: FormationExpr, i: int) -> int:
-    key = ("residual", formation_key(F))
+    key = ("residual", F)
     table = lat.memo.get(key)
     if table is None:
         table = {}
@@ -332,7 +333,7 @@ def is_f_subnormal(
 def _subnormal(
     lat: SubgroupLattice, F: FormationExpr, h_idx: int, t_idx: int, maximal_chains: bool
 ) -> bool:
-    key = ("subnormal", formation_key(F), maximal_chains)
+    key = ("subnormal", F, maximal_chains)
     table = lat.memo.get(key)
     if table is None:
         table = {}
@@ -402,13 +403,35 @@ def f_subnormalizers(
 def subnormalizer_intersection(
     F: FormationExpr, sigma: SubgroupFunctor, X: Group | SubgroupRef
 ) -> SubgroupRef:
-    """Intersection of all subnormalizers of all subgroups from the functor."""
+    """Intersection of all subnormalizers of all subgroups from the functor.
+
+    The functor's family is closed under conjugation by X and the
+    subnormalizers of H^g are those of H conjugated by g, so over the
+    X-class of H the intersection is the core in X of the intersection for
+    H alone: subnormalizers are computed for one member of each class.
+    """
     X = as_ref(X)
     mask = X.mask
+    done: set[int] = set()
     for H in sigma(X):
+        if H.mask in done:
+            continue
+        done.update(_x_class(X, H.mask))
+        carriers = X.mask
         for carrier in f_subnormalizers(F, H, X).carriers:
-            mask &= carrier.mask
+            carriers &= carrier.mask
+        for m in _x_class(X, carriers):
+            mask &= m
     return subgroup_from_mask(X.ambient, mask)
+
+
+def _x_class(X: SubgroupRef, mask: int) -> list[int]:
+    """The X-conjugates of a subgroup mask; read from the lattice's classes when X is the whole group."""
+    if not X.is_full:
+        return conjugacy_orbit(X, mask)
+    lat = all_subgroups(X.ambient)
+    refs = lat.refs
+    return [refs[j].mask for j in lat.classes[lat.class_id[lat.index_of_mask[mask]]]]
 
 
 def abnormal_maximal_intersection(F: FormationExpr, X: Group | SubgroupRef) -> SubgroupRef:

@@ -14,6 +14,8 @@ from .subgroups import (
     full_subgroup,
     normal_subgroup_masks,
     o_pi,
+    p_part,
+    pi_elements,
     prime_factors,
     subgroup_from_mask,
     subgroup_to_group,
@@ -85,19 +87,25 @@ class ChiefFactor:
                     raise InternalCheckFailure("abelian chief factor is not elementary")
 
 
-def _minimal_normal_above(G: Group, floor_mask: int) -> list[int]:
+def _minimal_normal_above(G: Group, floor_mask: int) -> tuple[int, ...]:
     """Masks of the normal subgroups minimal among those strictly above the floor.
 
     Sorted by (order, fingerprint): the first mask is the deterministic choice
-    of every walk up a chief series.
+    of every walk up a chief series.  Cached on G per floor.
     """
+    cached = G._minimal_above.get(floor_mask)
+    if cached is not None:
+        return cached
     masks = [m for m in normal_subgroup_masks(full_subgroup(G)) if floor_mask & ~m == 0 and m != floor_mask]
     minimal = [
         m
         for m in masks
         if not any(other != m and floor_mask & ~other == 0 and other & ~m == 0 for other in masks)
     ]
-    return sorted(minimal, key=lambda m: (m.bit_count(), tuple(bits(m))))
+    cached = G._minimal_above[floor_mask] = tuple(
+        sorted(minimal, key=lambda m: (m.bit_count(), tuple(bits(m))))
+    )
+    return cached
 
 
 def _chief_masks_to(G: Group, top_mask: int) -> list[int]:
@@ -218,11 +226,18 @@ def nilpotent_length(X: Group | SubgroupRef) -> int:
 
 
 def is_nilpotent(X: Group | SubgroupRef) -> bool:
-    """Nilpotency via normality of all Sylow subgroups."""
-    from .subgroups import is_normal_in, sylow_subgroup
+    """Nilpotency by counting: for each prime p, the elements of p-power order
+    (the identity included) number |X|_p.
 
+    A Sylow p-subgroup has |X|_p elements, all of p-power order, so the count
+    is |X|_p exactly when every p-element lies in one Sylow p-subgroup, which
+    is then normal; X is nilpotent iff all its Sylow subgroups are normal.
+    One pass over the element orders per prime; no subgroup is built.  The Sylow
+    normality test it replaced is ``tests/oracles.py::is_nilpotent_by_sylow``.
+    """
     X = as_ref(X)
-    for p in prime_factors(X.order):
-        if not is_normal_in(sylow_subgroup(X, p), X):
-            return False
-    return True
+    order = X.order
+    primes = prime_factors(order)
+    if len(primes) < 2:
+        return True
+    return all(len(pi_elements(X, [p])) == p_part(order, p) for p in primes)

@@ -267,6 +267,11 @@ def _require_subgroup(X: SubgroupRef, H: SubgroupRef) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _members(X: SubgroupRef) -> Iterable[int]:
+    """The element indices of X: a plain range when X is the whole group."""
+    return range(X.order) if X.is_full else bits(X.mask)
+
+
 def normalizer(X: Group | SubgroupRef, H: SubgroupRef) -> SubgroupRef:
     """N_X(H) = {g in X : H^g = H}."""
     X = as_ref(X)
@@ -278,7 +283,7 @@ def normalizer(X: Group | SubgroupRef, H: SubgroupRef) -> SubgroupRef:
     out = 0
     table = G.table
     inv = G._inv
-    for g in bits(X.mask):
+    for g in _members(X):
         row_g = table[g]
         ginv = inv[g]
         if all((hmask >> row_g[table[h][ginv]]) & 1 for h in hgens):
@@ -293,7 +298,7 @@ def centralizer(X: Group | SubgroupRef, H: SubgroupRef) -> SubgroupRef:
     if H.ambient is not G:
         raise NotASubgroup("operands live in different ambient groups")
     out = 0
-    for g in bits(X.mask):
+    for g in _members(X):
         if all(G.mul(g, h) == G.mul(h, g) for h in H.gen_idxs):
             out |= 1 << g
     return subgroup_from_mask(G, out)
@@ -313,7 +318,7 @@ def centralizer_of_factor(
     table = G.table
     inv = G._inv
     hrows = [(h, inv[h]) for h in hgens]
-    for g in bits(X.mask):
+    for g in _members(X):
         ginv = inv[g]
         row_g = table[g]
         ok = True
@@ -328,26 +333,31 @@ def centralizer_of_factor(
     return subgroup_from_mask(G, out)
 
 
-def conjugate_mask(G: Group, mask: int, g: int) -> int:
-    row = G.conj_row(g)
+def _mask_of_images(row: Sequence[int], members: Iterable[int]) -> int:
+    """The mask of the images ``row[x]`` of the given element indices."""
     out = 0
-    for x in bits(mask):
+    for x in members:
         out |= 1 << row[x]
     return out
 
 
 def conjugacy_orbit(X: Group | SubgroupRef, mask: int) -> list[int]:
-    """Orbit of a subgroup mask under conjugation by X (via X's generators)."""
+    """Orbit of a subgroup mask under conjugation by X (via X's generators).
+
+    Each orbit member's elements are listed once and mapped by every
+    generator's conjugation row.
+    """
     X = as_ref(X)
     G = X.ambient
-    gen_idxs = X.gen_idxs
+    rows = [G.conj_row(g) for g in X.gen_idxs]
     seen = {mask}
     frontier = [mask]
     while frontier:
         nxt = []
         for m in frontier:
-            for g in gen_idxs:
-                c = conjugate_mask(G, m, g)
+            members = list(bits(m))
+            for row in rows:
+                c = _mask_of_images(row, members)
                 if c not in seen:
                     seen.add(c)
                     nxt.append(c)
@@ -432,6 +442,15 @@ def p_part(n: int, p: int) -> int:
         q *= p
         n //= p
     return q
+
+
+def pi_elements(X: Group | SubgroupRef, pi: Iterable[int]) -> list[int]:
+    """The element indices of X whose orders are pi-numbers, the identity included."""
+    X = as_ref(X)
+    pi = frozenset(pi)
+    orders = X.ambient.elt_orders()
+    pi_orders = {o for o in set(orders) if pi.issuperset(prime_factors(o))}
+    return [x for x in _members(X) if orders[x] in pi_orders]
 
 
 def sylow_subgroup(X: Group | SubgroupRef, p: int) -> SubgroupRef:

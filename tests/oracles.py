@@ -2,10 +2,13 @@
 
 Everything here works directly on Permutation objects and frozensets, never
 through the library's index machinery, so oracle results are independent of
-the code paths they check.  Two families read the library's element indices
-but none of its fast paths: the reference index-level kernels, and
+the code paths they check.  Three families read the library's element
+indices but none of its fast paths: the reference index-level kernels;
 ``quotient_by_permutations``, which reads cosets off the source group's table
-and builds the quotient from permutations.
+and builds the quotient from permutations; and the replaced decisions at the
+end of this file (Sylow nilpotency, cross membership through O_pi, the
+permutation-built oracle product, the per-member subnormalizer
+intersection), each the library's algorithm before its exact shortcut.
 """
 
 from __future__ import annotations
@@ -261,3 +264,76 @@ def quotient_by_permutations(G, normal_mask: int):
 
     quo = Group(count, [coset_perm(g) for g in G.gen_idxs()])
     return quo, coset_of, [coset_perm(i) for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Replaced decisions.  Each is the library's former algorithm for a decision
+# that is now made by a counting test or from the multiplication table.
+# ---------------------------------------------------------------------------
+
+
+def is_nilpotent_by_sylow(X) -> bool:
+    """Oracle for ``series.is_nilpotent``: each Sylow subgroup, grown through
+    normalizers, is normal."""
+    from flab.subgroups import as_ref, is_normal_in, prime_factors, sylow_subgroup
+
+    X = as_ref(X)
+    return all(is_normal_in(sylow_subgroup(X, p), X) for p in prime_factors(X.order))
+
+
+def cross_member_by_o_pi(F, X) -> bool:
+    """Oracle for cross membership: X is the product of its O_pi parts over the
+    blocks, each O_pi the join of X's normal pi-subgroups."""
+    from flab.formations import partition_blocks_for
+    from flab.series import is_soluble
+    from flab.subgroups import as_ref, o_pi, prime_factors
+
+    X = as_ref(X)
+    total = 1
+    parts = []
+    for primes, soluble in partition_blocks_for(F, prime_factors(X.order)):
+        part = o_pi(X, primes)
+        parts.append((part, soluble))
+        total *= part.order
+    if total != X.order:
+        return False
+    return all(not soluble or is_soluble(part) for part, soluble in parts)
+
+
+def factor_action_product_by_permutations(G, factor):
+    """Oracle for ``hypercenter.build_factor_action_product``: the product
+    (H/K) x| (G/C) as a permutation group on the cosets of K in H, the factor
+    acting by right translation and G by conjugation, with its own
+    Schreier-Sims chain."""
+    from flab.groups import Group
+
+    members = [i for i in range(G.order) if (factor.below.mask >> i) & 1]
+    coset_of: dict[int, int] = {}
+    reps: list[int] = []
+    for i in range(G.order):
+        if not (factor.above.mask >> i) & 1 or i in coset_of:
+            continue
+        reps.append(i)
+        for x in members:
+            coset_of[G.mul(x, i)] = len(reps) - 1
+    m = len(reps)
+    gens = [Permutation(coset_of[G.mul(reps[c], h)] for c in range(m)) for h in factor.above.gen_idxs]
+    gens += [
+        Permutation(coset_of[G.mul(G.mul(G.inv(g), reps[c]), g)] for c in range(m))
+        for g in G.gen_idxs()
+    ]
+    return Group(m, gens, name="factor-action-product")
+
+
+def subnormalizer_intersection_per_member(F, sigma, X):
+    """Oracle for ``intersections.subnormalizer_intersection``: the
+    subnormalizers of every member of the family, intersected; returns a mask."""
+    from flab.intersections import f_subnormalizers
+    from flab.subgroups import as_ref
+
+    X = as_ref(X)
+    mask = X.mask
+    for H in sigma(X):
+        for carrier in f_subnormalizers(F, H, X).carriers:
+            mask &= carrier.mask
+    return mask

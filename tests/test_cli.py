@@ -131,6 +131,7 @@ def test_reports_byte_identical_across_processes():
         ["verify", "--partition", "{2,x}"],
         ["verify", "--check", "theorem-a", "--partition", "{2,x}"],
         ["analyze", "--group", "E(2^0)"],
+        ["analyze", "--group", "perm(100000000; (0 1))"],
         ["verify", "--check", "theorem-a", "--partition", "{}"],
         ["verify", "--check", "theorem-a", "--partition", "{0,1}"],
     ],

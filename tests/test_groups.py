@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flab.groups as groups_mod
+from flab import config
 from flab.corpus import build_corpus
 from flab.errors import ActionError, CapExceeded, NotNormal, SpecParseError
 from flab.groups import (
@@ -103,6 +104,25 @@ def test_order_cap_refuses_before_building(spec, monkeypatch):
     with pytest.raises(CapExceeded):
         make_group(spec)
     assert time.perf_counter() - start < 1.0
+
+
+def test_perm_degree_cap_refuses_before_allocating(monkeypatch):
+    cap = config.PERM_DEGREE_CAP
+    assert make_group(f"perm({cap}; ({cap - 1} 0))").order == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("points allocated before the degree check")
+
+    monkeypatch.setattr(groups_mod.Permutation, "parse", refuse)
+    monkeypatch.setattr(groups_mod.Permutation, "__init__", refuse)
+    for spec in (
+        f"perm({cap + 1}; (0 1))",
+        "perm(100000000000000; (0 1))",
+        "C2 x perm(5000; (0 1))",
+        "sd(perm(5000; (0 1)),C2,n0->n0)",
+    ):
+        with pytest.raises(SpecParseError, match="exceeds cap"):
+            make_group(spec)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from flab.errors import OracleCapExceeded
@@ -170,3 +172,42 @@ def test_hypercenter_nilpow_sidorov_examples():
     from flab.intersections import f_maximal_intersection
 
     assert z2.mask == f_maximal_intersection(NilPow(2), s4).mask
+
+
+def test_each_chief_factor_decided_once(monkeypatch):
+    # the ascent and its self-check read one cached verdict per factor and class
+    import sys
+
+    from flab.formations import formation_member
+
+    hc = sys.modules["flab.hypercenter"]  # the package exports a function of that name
+
+    products: Counter = Counter()
+    local: Counter = Counter()
+    build, decide_local = hc.build_factor_action_product, hc.is_f_central_local
+
+    def counting_build(G, factor, cap=None):
+        products[factor.below.mask, factor.above.mask] += 1
+        return build(G, factor, cap)
+
+    def counting_local(F, G, factor):
+        local[factor.below.mask, factor.above.mask] += 1
+        return decide_local(F, G, factor)
+
+    monkeypatch.setattr(hc, "build_factor_action_product", counting_build)
+    monkeypatch.setattr(hc, "is_f_central_local", counting_local)
+    for spec in ("S4", "SL(2,3)", "D12"):
+        G = make_group(spec)
+        for F in (NIL, SUPERSOLUBLE, CROSS_235):
+            products.clear()
+            local.clear()
+            hypercenter(F, G, method="both")
+            assert products and set(products.values()) == {1}, (spec, format_formation(F))
+            assert local == products, (spec, format_formation(F))
+    # a callable predicate is decided afresh each time and matches the expression
+    G = make_group("S4")
+    pred = lambda W: formation_member(NIL, W)
+    products.clear()
+    assert hypercenter(pred, G, method="oracle").mask == hypercenter(NIL, G, method="oracle").mask
+    assert max(products.values()) > 1
+    assert not any(callable(key[2]) for key in G._central_verdicts)

@@ -1,0 +1,91 @@
+"""The counting and table-built decisions against the algorithms they replaced.
+
+Nilpotency by counting p-elements, cross membership by pi-element sets, the
+table-built centrality-oracle product and the per-class subnormalizer
+intersection are each compared with their former algorithm in ``oracles.py``.
+"""
+
+from collections import Counter
+
+from flab import config
+from flab.corpus import build_corpus
+from flab.errors import OracleCapExceeded
+from flab.formations import NIL, formation_member, parse_formation
+from flab.hypercenter import build_factor_action_product
+from flab.intersections import CYCLIC_PRIMARY, SYLOW, subnormalizer_intersection
+from flab.lattice import all_subgroups, maximal_subgroups
+from flab.series import chief_factors, is_nilpotent
+
+from .oracles import (
+    cross_member_by_o_pi,
+    factor_action_product_by_permutations,
+    is_nilpotent_by_sylow,
+    subnormalizer_intersection_per_member,
+)
+
+_CROSS = [
+    parse_formation(text)
+    for text in ("cross[{2,3};{5}]", "cross[{2,5}:spi;{3,7}]", "cross[{2,3}:spi]", "cross[{2,3,5}:spi]", "cross[]")
+]
+_PRODUCT_CLASSES = [
+    parse_formation(text)
+    for text in ("N", "U", "N^2", "Gpi{2,3}", "cross[{2,3};{5}]", "cross[{2,5}:spi;{3,7}]")
+]
+
+
+def _corpus(max_order):
+    return [entry.group for entry in build_corpus(max_order)]
+
+
+def test_nilpotency_by_counting_matches_sylow_oracle():
+    for G in _corpus(120):
+        for ref in all_subgroups(G).refs:
+            assert is_nilpotent(ref) == is_nilpotent_by_sylow(ref), (G.name, ref.order)
+
+
+def test_cross_membership_by_pi_elements_matches_o_pi_oracle():
+    for G in _corpus(120):
+        for ref in all_subgroups(G).refs:
+            for F in _CROSS:
+                assert formation_member(F, ref) == cross_member_by_o_pi(F, ref), (G.name, ref.order, F)
+
+
+def test_table_product_matches_permutation_oracle():
+    decided = Counter()
+    for G in _corpus(150):
+        for factor in chief_factors(G):
+            try:
+                W = build_factor_action_product(G, factor)
+            except OracleCapExceeded:
+                continue
+            oracle = factor_action_product_by_permutations(G, factor)
+            assert W.order == oracle.order, (G.name, factor.order)
+            table_built = W._table is not None
+            assert table_built == (W.order <= config.ELEMENT_CAP)
+            if table_built:
+                _assert_group_table(W)
+                assert Counter(W.elt_orders()) == Counter(oracle.elt_orders()), (G.name, factor.order)
+            for F in _PRODUCT_CLASSES:
+                assert formation_member(F, W) == formation_member(F, oracle), (G.name, factor.order, F)
+            decided[table_built] += 1
+    assert decided[True] > 600 and decided[False] > 0
+
+
+def _assert_group_table(W):
+    """Right multiplications by generators compose as the table says: (x*g)*h = x*(g*h)."""
+    rows = W.table
+    for g in W.gen_idxs():
+        for h in W.gen_idxs():
+            gh = rows[h][g]
+            assert all(rows[h][rows[g][x]] == rows[gh][x] for x in range(W.order))
+
+
+def test_subnormalizer_intersection_per_class_matches_per_member_oracle():
+    classes = [NIL, parse_formation("U"), parse_formation("cross[{2,3};{5}]")]
+    for G in _corpus(80):
+        tops = [G] + maximal_subgroups(G)
+        for X in tops:
+            for F in classes:
+                for sigma in (SYLOW, CYCLIC_PRIMARY):
+                    got = subnormalizer_intersection(F, sigma, X).mask
+                    assert got == subnormalizer_intersection_per_member(F, sigma, X), (G.name, F, sigma.tag)
