@@ -10,7 +10,7 @@ table, about 8 MB at order 2000.
 ORDER_CAP = 2000
 """Largest group order `make_group` will construct."""
 
-PERM_DEGREE_CAP = 2000
+PERM_DEGREE_CAP = ORDER_CAP
 """Largest degree of a ``perm(<n>; ...)`` spec; refused before any point is allocated.
 
 Every group within ``ORDER_CAP`` acts faithfully on at most that many points

@@ -416,22 +416,13 @@ def subnormalizer_intersection(
     for H in sigma(X):
         if H.mask in done:
             continue
-        done.update(_x_class(X, H.mask))
+        done.update(conjugacy_orbit(X, H.mask))
         carriers = X.mask
         for carrier in f_subnormalizers(F, H, X).carriers:
             carriers &= carrier.mask
-        for m in _x_class(X, carriers):
+        for m in conjugacy_orbit(X, carriers):
             mask &= m
     return subgroup_from_mask(X.ambient, mask)
-
-
-def _x_class(X: SubgroupRef, mask: int) -> list[int]:
-    """The X-conjugates of a subgroup mask; read from the lattice's classes when X is the whole group."""
-    if not X.is_full:
-        return conjugacy_orbit(X, mask)
-    lat = all_subgroups(X.ambient)
-    refs = lat.refs
-    return [refs[j].mask for j in lat.classes[lat.class_id[lat.index_of_mask[mask]]]]
 
 
 def abnormal_maximal_intersection(F: FormationExpr, X: Group | SubgroupRef) -> SubgroupRef:
