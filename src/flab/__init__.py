@@ -17,6 +17,7 @@ from .errors import (
     NotASubgroup,
     NotNormal,
     OracleCapExceeded,
+    OrderCapExceeded,
     SpecParseError,
 )
 from .perms import Permutation
@@ -42,7 +43,6 @@ from .subgroups import (
     centralizer_of_factor,
     commutator_subgroup,
     core,
-    cyclic_primary_subgroups,
     full_subgroup,
     normalizer,
     o_pi,
@@ -50,10 +50,16 @@ from .subgroups import (
     o_pp,
     subgroup_from_idxs,
     subgroup_from_mask,
-    sylow_subgroups,
     trivial_subgroup,
 )
-from .lattice import SubgroupLattice, all_subgroups, frattini, maximal_subgroups
+from .lattice import (
+    SubgroupLattice,
+    all_subgroups,
+    cyclic_primary_subgroups,
+    frattini,
+    maximal_subgroups,
+    sylow_subgroups,
+)
 from .series import (
     ChiefFactor,
     chief_factors,

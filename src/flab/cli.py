@@ -12,9 +12,10 @@ import argparse
 import os
 import sys
 
+from . import config
 from .checks import CHECKS, DEFAULT_SUITE, parse_partition, run_checks
 from .corpus import build_corpus, load_corpus_file
-from .errors import FlabError, SpecParseError
+from .errors import FlabError, OrderCapExceeded, SpecParseError
 from .formations import format_formation, parse_formation
 from .groups import make_group
 from .hypercenter import hypercenter
@@ -83,15 +84,19 @@ class UsageError(FlabError):
 
 
 def _default_max_order(args) -> int | None:
-    if args.max_order is not None:
-        return args.max_order
-    env = os.environ.get("FLAB_MAX_ORDER")
-    if env:
+    """The corpus order bound from --max-order or FLAB_MAX_ORDER; refused outside 1..ORDER_CAP."""
+    bound, source = args.max_order, "--max-order"
+    if bound is None:
+        env = os.environ.get("FLAB_MAX_ORDER")
+        if not env:
+            return None
         try:
-            return int(env)
+            bound, source = int(env), "FLAB_MAX_ORDER"
         except ValueError:
             raise UsageError(f"FLAB_MAX_ORDER must be an integer, got {env!r}") from None
-    return None
+    if not 1 <= bound <= config.ORDER_CAP:
+        raise UsageError(f"{source} must be between 1 and {config.ORDER_CAP}, got {bound}")
+    return bound
 
 
 def _cmd_verify(args) -> int:
@@ -161,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_verify(args)
         if args.command == "lattice":
             return _cmd_lattice(args)
-    except (SpecParseError, UsageError) as exc:
+    except (SpecParseError, UsageError, OrderCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FlabError as exc:

@@ -13,6 +13,10 @@ class CapExceeded(FlabError):
     """A configured size cap (order, element count, budget) was exceeded."""
 
 
+class OrderCapExceeded(CapExceeded):
+    """A group spec names a group above the order cap: bad input, not a computation limit."""
+
+
 class OracleCapExceeded(CapExceeded):
     """The centrality oracle would need a product larger than its cap."""
 

@@ -27,6 +27,7 @@ from .errors import (
     CapExceeded,
     InternalCheckFailure,
     NotNormal,
+    OrderCapExceeded,
     SpecParseError,
 )
 from .perms import Permutation
@@ -1040,7 +1041,7 @@ def _parse_atom(text: str, cap: int) -> Group:
         H = _parse_spec(h_spec, cap)
         # factor orders come from their chains; refuse before the action check enumerates them
         if N.order * H.order > cap:
-            raise CapExceeded(f"group order {N.order * H.order} exceeds cap {cap}")
+            raise OrderCapExceeded(f"group order {N.order * H.order} of {text!r} exceeds cap {cap}")
         action = _parse_action(action_text, N, H)
         return semidirect_product(N, H, action, name=text)
     if kind == "perm":
@@ -1115,14 +1116,15 @@ def make_group(spec: str, order_cap: int | None = None) -> Group:
 
     The cap is applied to the order read from the spec before anything is
     built, to each sd(...) once its two factors are built and before its
-    action is checked, and again to the built group.  perm(...) atoms have
-    orders known only from their stabilizer chains, so the two later checks
-    catch them; neither enumerates an element.
+    action is checked, and again to the built group; each refusal is an
+    :class:`OrderCapExceeded`.  perm(...) atoms have orders known only from
+    their stabilizer chains, so the two later checks catch them; neither
+    enumerates an element.
     """
     cap = config.ORDER_CAP if order_cap is None else order_cap
     if _order_bound(spec, cap) > cap:
-        raise CapExceeded(f"group order exceeds cap {cap}")
+        raise OrderCapExceeded(f"group order of {spec!r} exceeds cap {cap}")
     group = _parse_spec(spec, cap)
     if group.order > cap:
-        raise CapExceeded(f"group order {group.order} exceeds cap {cap}")
+        raise OrderCapExceeded(f"group order {group.order} of {spec!r} exceeds cap {cap}")
     return group

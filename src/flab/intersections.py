@@ -24,19 +24,23 @@ from .formations import (
     residual_mask,
 )
 from .groups import Group
-from .lattice import SubgroupLattice, all_subgroups
+from .lattice import (
+    SubgroupLattice,
+    all_subgroups,
+    cyclic_primary_subgroups,
+    maximal_subgroups,
+    sylow_subgroups,
+)
 from .subgroups import (
     SubgroupRef,
     as_ref,
     bits,
     _mask_of_images,
     conjugacy_orbit,
+    core,
     normalizer,
     prime_factors,
     subgroup_from_mask,
-    sylow_subgroup,
-    sylow_subgroups,
-    cyclic_primary_subgroups,
     trivial_subgroup,
 )
 
@@ -63,8 +67,6 @@ class SubgroupFunctor:
         if self.tag == "cyclic-primary":
             return cyclic_primary_subgroups(X)
         if self.tag == "maximal":
-            from .lattice import maximal_subgroups
-
             return maximal_subgroups(X)
         if self.tag == "f-maximal":
             assert self.formation is not None
@@ -240,13 +242,12 @@ def f_maximal_normalizer_intersection(F: FormationExpr, X: Group | SubgroupRef) 
 
 
 def sylow_normalizer_intersection(X: Group | SubgroupRef) -> SubgroupRef:
-    """Intersection of the normalizers of all Sylow subgroups (lattice-free)."""
+    """Intersection of the normalizers of all Sylow subgroups."""
     X = as_ref(X)
-    G = X.ambient
     mask = X.mask
     for p in prime_factors(X.order):
-        mask &= _normalizer_class_intersection(X, [sylow_subgroup(X, p)])
-    return subgroup_from_mask(G, mask)
+        mask &= _normalizer_class_intersection(X, sylow_subgroups(X, p))
+    return subgroup_from_mask(X.ambient, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -259,25 +260,7 @@ def _core_mask(lat: SubgroupLattice, t_idx: int, m_idx: int) -> int:
     key = ("core", t_idx, m_idx)
     cached = lat.memo.get(key)
     if cached is None:
-        G = lat.ambient
-        rows = [G.conj_row(g) for g in lat.refs[t_idx].gen_idxs]
-        mask = lat.refs[m_idx].mask
-        out = mask
-        seen = {mask}
-        frontier = [mask]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                members = list(bits(m))
-                for row in rows:
-                    c = _mask_of_images(row, members)
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-                        out &= c
-            frontier = nxt
-        cached = out
-        lat.memo[key] = cached
+        cached = lat.memo[key] = core(lat.refs[t_idx], lat.refs[m_idx]).mask
     return cached
 
 

@@ -1,4 +1,4 @@
-"""Full subgroup lattice of a small group.
+"""Full subgroup lattice of a small group, and the subgroup families read from it.
 
 Enumeration seeds with all cyclic subgroups and closes under joins; joins are
 only formed between conjugacy-class representatives and prime-power cyclic
@@ -21,8 +21,10 @@ from .subgroups import (
     bits,
     closure_mask,
     conjugacy_orbit,
+    p_part,
     prime_factors,
     subgroup_from_mask,
+    trivial_subgroup,
 )
 
 
@@ -45,14 +47,6 @@ class SubgroupLattice:
     def index_of(self, ref: SubgroupRef) -> int:
         return self.index_of_mask[ref.mask]
 
-    def subgroups_of(self, ref: SubgroupRef) -> list[SubgroupRef]:
-        i = self.index_of(ref)
-        return [self.refs[j] for j in bits(self.sub_rows[i])]
-
-    def overgroups_of(self, ref: SubgroupRef) -> list[SubgroupRef]:
-        i = self.index_of(ref)
-        return [self.refs[j] for j in bits(self.sup_rows[i])]
-
     def maximal_subgroup_idxs(self, i: int) -> list[int]:
         """Indices of the maximal proper subgroups of refs[i]."""
         key = ("maximals", i)
@@ -68,10 +62,6 @@ class SubgroupLattice:
             cached = out
             self.memo[key] = cached
         return cached
-
-    def conjugacy_class_of(self, ref: SubgroupRef) -> list[SubgroupRef]:
-        i = self.index_of(ref)
-        return [self.refs[j] for j in self.classes[self.class_id[i]]]
 
 
 def _cyclic_subgroups(G: Group) -> dict[int, int]:
@@ -95,8 +85,8 @@ def _cyclic_subgroups(G: Group) -> dict[int, int]:
     return out
 
 
-def _enumerate_subgroups(G: Group) -> list[int]:
-    """Masks of all subgroups of G."""
+def _enumerate_subgroups(G: Group) -> list[list[int]]:
+    """The conjugacy classes of subgroups of G, each as the masks of its members."""
     n = G.order
     e = G.identity_idx
     full_mask = (1 << n) - 1
@@ -110,21 +100,22 @@ def _enumerate_subgroups(G: Group) -> list[int]:
     ]
 
     found: set[int] = {1 << e}
+    orbits: list[list[int]] = [[1 << e]]
     rep_gens: dict[int, tuple[int, ...]] = {}
     queue: list[int] = []
 
     def add_class(mask: int, gens: tuple[int, ...]) -> None:
         if mask in found:
             return
-        found.add(mask)
-        if len(found) > config.LATTICE_SUBGROUP_BUDGET:
+        orbit = conjugacy_orbit(G, mask)
+        found.update(orbit)
+        if len(found) > config.LATTICE_SUBGROUP_BUDGET:  # counts the whole class
             raise LatticeBudgetExceeded(
                 f"more than {config.LATTICE_SUBGROUP_BUDGET} subgroups"
             )
+        orbits.append(orbit)
         rep_gens[mask] = gens
         queue.append(mask)
-        for cm in conjugacy_orbit(G, mask):
-            found.add(cm)
 
     add_class(full_mask, G.gen_idxs())
     for m in sorted(cyclic_masks):
@@ -142,7 +133,7 @@ def _enumerate_subgroups(G: Group) -> list[int]:
                 raise LatticeBudgetExceeded("join budget exhausted")
             joined = closure_mask(G, list(gens) + [agen], stop_above=largest_proper, base=rep)
             add_class(joined, tuple(sorted(set(gens) | {agen})))
-    return sorted(found, key=lambda m: (m.bit_count(), m))
+    return orbits
 
 
 def all_subgroups(G: Group | SubgroupRef) -> SubgroupLattice:
@@ -151,7 +142,8 @@ def all_subgroups(G: Group | SubgroupRef) -> SubgroupLattice:
         G = G.ambient
     if G._lattice is not None:
         return G._lattice
-    masks = _enumerate_subgroups(G)
+    orbits = _enumerate_subgroups(G)
+    masks = sorted((m for orbit in orbits for m in orbit), key=lambda m: (m.bit_count(), m))
     refs = tuple(subgroup_from_mask(G, m) for m in masks)
     index_of_mask = {m: i for i, m in enumerate(masks)}
 
@@ -166,15 +158,10 @@ def all_subgroups(G: Group | SubgroupRef) -> SubgroupLattice:
                 sup_rows[i] |= 1 << j
                 sub_rows[j] |= 1 << i
 
-    class_id = [-1] * count
-    classes: list[tuple[int, ...]] = []
-    for i, m in enumerate(masks):
-        if class_id[i] != -1:
-            continue
-        orbit = conjugacy_orbit(G, m)
-        cid = len(classes)
-        members = tuple(sorted(index_of_mask[cm] for cm in orbit))
-        classes.append(members)
+    # numbered by lowest member index, the order in which the lemma checks sample classes
+    classes = sorted(tuple(sorted(index_of_mask[m] for m in orbit)) for orbit in orbits)
+    class_id = [0] * count
+    for cid, members in enumerate(classes):
         for j in members:
             class_id[j] = cid
 
@@ -207,6 +194,40 @@ def frattini(X: Group | SubgroupRef) -> SubgroupRef:
     for m in maxes:
         mask &= m.mask
     return subgroup_from_mask(X.ambient, mask)
+
+
+def sylow_subgroups(X: Group | SubgroupRef, p: int) -> list[SubgroupRef]:
+    """All Sylow p-subgroups of X (the unit group alone when p does not divide |X|).
+
+    By Sylow's theorem they are the subgroups of X of order |X|_p, read off
+    the ambient lattice in (order, mask) order.
+    """
+    X = as_ref(X)
+    lat = all_subgroups(X.ambient)
+    target = p_part(X.order, p)
+    return [lat.refs[j] for j in bits(lat.sub_rows[lat.index_of(X)]) if lat.refs[j].order == target]
+
+
+def cyclic_primary_subgroups(X: Group | SubgroupRef) -> list[SubgroupRef]:
+    """All cyclic subgroups of X of prime-power order, the unit group included.
+
+    Read off the ambient lattice in (order, mask) order: a subgroup of
+    prime-power order q is cyclic iff it has an element of order q, and its
+    lowest-index such element is taken as its generator.
+    """
+    X = as_ref(X)
+    G = X.ambient
+    lat = all_subgroups(G)
+    orders = G.elt_orders()
+    out = [trivial_subgroup(G)]
+    for j in bits(lat.sub_rows[lat.index_of(X)]):
+        mask = lat.refs[j].mask
+        q = mask.bit_count()
+        if len(prime_factors(q)) == 1:  # the unit group, q = 1, is already in
+            gen = next((x for x in bits(mask) if orders[x] == q), None)
+            if gen is not None:
+                out.append(subgroup_from_mask(G, mask, (gen,)))
+    return out
 
 
 def lattice_summary(G: Group) -> dict:

@@ -72,9 +72,6 @@ class SubgroupRef:
     def is_full(self) -> bool:
         return self.order == self.ambient.order
 
-    def element_idxs(self) -> Iterator[int]:
-        return bits(self.mask)
-
     def contains(self, other: "SubgroupRef") -> bool:
         return other.mask & ~self.mask == 0
 
@@ -418,7 +415,7 @@ def product_mask(G: Group, A: SubgroupRef, B: SubgroupRef) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Sylow and primary structure
+# Primes and pi-elements
 # ---------------------------------------------------------------------------
 
 
@@ -451,75 +448,6 @@ def pi_elements(X: Group | SubgroupRef, pi: Iterable[int]) -> list[int]:
     orders = X.ambient.elt_orders()
     pi_orders = {o for o in set(orders) if pi.issuperset(prime_factors(o))}
     return [x for x in _members(X) if orders[x] in pi_orders]
-
-
-def sylow_subgroup(X: Group | SubgroupRef, p: int) -> SubgroupRef:
-    """One Sylow p-subgroup of X, grown through normalizers; trivial if p ∤ |X|."""
-    X = as_ref(X)
-    G = X.ambient
-    target = p_part(X.order, p)
-    current = trivial_subgroup(G)
-    while current.order < target:
-        N = normalizer(X, current)
-        nmask = N.mask & X.mask
-        grown = False
-        for x in bits(nmask & ~current.mask):
-            o = G.elt_order(x)
-            if o % p == 0:
-                # p-part power of x normalises current and extends it p-fold
-                m = o
-                while m % p == 0:
-                    m //= p
-                xp = x
-                # xp = x^m via index powering
-                xp = _idx_pow(G, x, m)
-                if not (current.mask >> xp) & 1:
-                    new_mask = closure_mask(G, (*current.gen_idxs, xp), base=current.mask)
-                    if new_mask.bit_count() == current.order * p:
-                        current = subgroup_from_mask(G, new_mask, tuple(sorted((*current.gen_idxs, xp))))
-                        grown = True
-                        break
-        if not grown:  # pragma: no cover - theory guarantees growth below target
-            raise RuntimeError("Sylow growth stalled")
-    return current
-
-
-def _idx_pow(G: Group, x: int, n: int) -> int:
-    result = G.identity_idx
-    base = x
-    while n:
-        if n & 1:
-            result = G.mul(result, base)
-        base = G.mul(base, base)
-        n >>= 1
-    return result
-
-
-def sylow_subgroups(X: Group | SubgroupRef, p: int) -> list[SubgroupRef]:
-    """All Sylow p-subgroups (the unit group alone when p does not divide |X|)."""
-    X = as_ref(X)
-    G = X.ambient
-    if X.order % p != 0:
-        return [trivial_subgroup(G)]
-    P = sylow_subgroup(X, p)
-    return [subgroup_from_mask(G, m) for m in conjugacy_orbit(X, P.mask)]
-
-
-def cyclic_primary_subgroups(X: Group | SubgroupRef) -> list[SubgroupRef]:
-    """All cyclic subgroups of prime-power order, including the trivial one."""
-    X = as_ref(X)
-    G = X.ambient
-    masks = {trivial_subgroup(G).mask}
-    out = [trivial_subgroup(G)]
-    for x in bits(X.mask):
-        o = G.elt_order(x)
-        if o > 1 and len(prime_factors(o)) == 1:
-            m = closure_mask(G, [x])
-            if m not in masks:
-                masks.add(m)
-                out.append(subgroup_from_mask(G, m, (x,)))
-    out.sort(key=lambda r: (r.order, r.mask))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ the code paths they check.  Three families read the library's element
 indices but none of its fast paths: the reference index-level kernels;
 ``quotient_by_permutations``, which reads cosets off the source group's table
 and builds the quotient from permutations; and the replaced decisions at the
-end of this file (Sylow nilpotency, cross membership through O_pi, the
-permutation-built oracle product, the per-member subnormalizer
-intersection), each the library's algorithm before its exact shortcut.
+end of this file (the Sylow subgroup grown through normalizers, cyclic
+primary subgroups by one closure per element, Sylow nilpotency, cross
+membership through O_pi, the permutation-built oracle product, the
+per-member subnormalizer intersection), each the library's algorithm before
+its exact shortcut or before the lattice became its source.
 """
 
 from __future__ import annotations
@@ -268,17 +270,72 @@ def quotient_by_permutations(G, normal_mask: int):
 
 # ---------------------------------------------------------------------------
 # Replaced decisions.  Each is the library's former algorithm for a decision
-# that is now made by a counting test or from the multiplication table.
+# or a subgroup family that is now made by a counting test, from the
+# multiplication table or read off the subgroup lattice.
 # ---------------------------------------------------------------------------
+
+
+def sylow_subgroup_by_growth(X, p):
+    """Oracle for ``lattice.sylow_subgroups``: one Sylow p-subgroup of X, grown
+    through normalizers (trivial if p does not divide |X|).
+
+    While P is below |X|_p, some p-element of N_X(P) outside P has its p-part
+    power outside P; adjoining it grows P p-fold.
+    """
+    from flab.subgroups import as_ref, bits, closure_mask, normalizer, p_part, subgroup_from_mask, trivial_subgroup
+
+    X = as_ref(X)
+    G = X.ambient
+    target = p_part(X.order, p)
+    current = trivial_subgroup(G)
+    while current.order < target:
+        nmask = normalizer(X, current).mask & X.mask
+        for x in bits(nmask & ~current.mask):
+            o = G.elt_order(x)
+            if o % p:
+                continue
+            xp = x
+            for _ in range(o // p_part(o, p) - 1):  # xp = x^(p'-part of o)
+                xp = G.mul(xp, x)
+            if (current.mask >> xp) & 1:
+                continue
+            grown = closure_mask(G, (*current.gen_idxs, xp), base=current.mask)
+            if grown.bit_count() == current.order * p:
+                current = subgroup_from_mask(G, grown, tuple(sorted((*current.gen_idxs, xp))))
+                break
+        else:
+            raise AssertionError("Sylow growth stalled")
+    return current
+
+
+def cyclic_primary_by_closure(X):
+    """Oracle for ``lattice.cyclic_primary_subgroups``: the closure of every
+    element of prime-power order, each new one generated by the element that
+    found it, sorted by (order, mask) after the unit group."""
+    from flab.subgroups import as_ref, bits, closure_mask, prime_factors, subgroup_from_mask, trivial_subgroup
+
+    X = as_ref(X)
+    G = X.ambient
+    masks = {trivial_subgroup(G).mask}
+    out = [trivial_subgroup(G)]
+    for x in bits(X.mask):
+        o = G.elt_order(x)
+        if o > 1 and len(prime_factors(o)) == 1:
+            m = closure_mask(G, [x])
+            if m not in masks:
+                masks.add(m)
+                out.append(subgroup_from_mask(G, m, (x,)))
+    out.sort(key=lambda r: (r.order, r.mask))
+    return out
 
 
 def is_nilpotent_by_sylow(X) -> bool:
     """Oracle for ``series.is_nilpotent``: each Sylow subgroup, grown through
     normalizers, is normal."""
-    from flab.subgroups import as_ref, is_normal_in, prime_factors, sylow_subgroup
+    from flab.subgroups import as_ref, is_normal_in, prime_factors
 
     X = as_ref(X)
-    return all(is_normal_in(sylow_subgroup(X, p), X) for p in prime_factors(X.order))
+    return all(is_normal_in(sylow_subgroup_by_growth(X, p), X) for p in prime_factors(X.order))
 
 
 def cross_member_by_o_pi(F, X) -> bool:

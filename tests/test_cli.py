@@ -220,3 +220,71 @@ def test_unreadable_corpus_path_exits_2(tmp_path, capsys):
     code = main(["verify", "--corpus", str(tmp_path)])  # a directory
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: cannot read corpus file")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--group", "C2001"], "group order of 'C2001' exceeds cap 2000"),
+        (["analyze", "--group", "S100"], "group order of 'S100' exceeds cap 2000"),
+        (["lattice", "--group", "C2001"], "group order of 'C2001' exceeds cap 2000"),
+        (
+            ["analyze", "--group", "perm(7; (0 1 2 3 4 5 6); (0 1))"],
+            "group order 5040 of 'perm(7; (0 1 2 3 4 5 6); (0 1))' exceeds cap 2000",
+        ),
+    ],
+    ids=["analyze-C2001", "analyze-S100", "lattice-C2001", "analyze-perm-S7"],
+)
+def test_over_cap_spec_exits_2(argv, message, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_over_cap_corpus_line_exits_2(tmp_path, capsys):
+    path = tmp_path / "corpus.txt"
+    path.write_text("S3\nC5000\n")
+    code = main(["verify", "--check", "cor-a4", "--corpus", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: group order of 'C5000' exceeds cap 2000\n"
+
+
+def test_lattice_budget_hit_during_computation_exits_1(monkeypatch, capsys):
+    from flab import config
+
+    monkeypatch.setattr(config, "LATTICE_SUBGROUP_BUDGET", 5)
+    code = main(["lattice", "--group", "S4"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: more than 5 subgroups\n"
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["--max-order", "2500", "--check", "baer-a1"], None, "--max-order must be between 1 and 2000, got 2500"),
+        (["--max-order", "-4"], None, "--max-order must be between 1 and 2000, got -4"),
+        (["--max-order", "0", "--corpus", "corpus.txt"], None, "--max-order must be between 1 and 2000, got 0"),
+        (["--check", "cor-a4"], "0", "FLAB_MAX_ORDER must be between 1 and 2000, got 0"),
+        (["--corpus", "corpus.txt"], "2001", "FLAB_MAX_ORDER must be between 1 and 2000, got 2001"),
+    ],
+    ids=["option-above-cap", "option-negative", "option-zero-file", "env-zero", "env-above-cap-file"],
+)
+def test_corpus_order_bound_outside_range_exits_2_before_building(argv, env, message, monkeypatch, capsys):
+    import flab.cli
+
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("corpus built although the order bound is refused")
+
+    monkeypatch.setattr(flab.cli, "build_corpus", no_corpus)
+    monkeypatch.setattr(flab.cli, "load_corpus_file", no_corpus)
+    if env is None:
+        monkeypatch.delenv("FLAB_MAX_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("FLAB_MAX_ORDER", env)
+    code = main(["verify", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"

@@ -92,7 +92,8 @@ def test_sylow_normalizer_intersection_examples():
 
 
 def test_sylow_normalizer_intersection_bruteforce():
-    from flab.subgroups import prime_factors, sylow_subgroups
+    from flab.lattice import sylow_subgroups
+    from flab.subgroups import prime_factors
 
     for spec in ("S4", "SL(2,3)", "D20", "A5"):
         G = make_group(spec)
@@ -187,7 +188,8 @@ def test_u_subnormalizers_of_c3_in_s4():
 def test_nil_subnormalizer_of_sylow_is_normalizer_in_soluble():
     # in a soluble group the nilpotent-class subnormalizer of a Sylow subgroup
     # is its normalizer
-    from flab.subgroups import prime_factors, sylow_subgroups
+    from flab.lattice import sylow_subgroups
+    from flab.subgroups import prime_factors
 
     for spec in ("S3", "S4", "D12", "SL(2,3)", "C12", "sd(C5,C4,n0->n0^2)"):
         G = make_group(spec)

@@ -6,7 +6,7 @@ from flab.formations import NIL, SUPERSOLUBLE, Gpi, NilPow, format_formation, pa
 from flab.groups import cyclic, direct_product, make_group, semidirect_product
 from flab.hypercenter import hypercenter
 from flab.intersections import f_maximal_intersection
-from flab.lattice import all_subgroups
+from flab.lattice import all_subgroups, sylow_subgroups
 from flab.subgroups import (
     full_subgroup,
     is_normal_in,
@@ -14,7 +14,6 @@ from flab.subgroups import (
     o_pi_up,
     o_pp,
     prime_factors,
-    sylow_subgroups,
 )
 
 SPECS = ("S3", "S4", "A4", "Q8", "SL(2,3)", "D12", "D20", "C12", "C2 x C6", "S3 x C5", "A5")

@@ -116,6 +116,17 @@ def test_budget_guard():
         G._lattice = None
 
 
+@pytest.mark.parametrize("spec, count", [("S4", 30), ("A5", 59)])
+def test_budget_counts_whole_conjugacy_classes(spec, count, monkeypatch):
+    from flab import config
+
+    monkeypatch.setattr(config, "LATTICE_SUBGROUP_BUDGET", count - 1)
+    with pytest.raises(LatticeBudgetExceeded):
+        all_subgroups(make_group(spec))
+    monkeypatch.setattr(config, "LATTICE_SUBGROUP_BUDGET", count)
+    assert len(all_subgroups(make_group(spec))) == count
+
+
 def test_lattice_summary():
     summary = lattice_summary(make_group("D12"))
     assert summary["subgroups"] == 16

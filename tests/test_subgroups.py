@@ -2,6 +2,7 @@ import pytest
 
 from flab.errors import NotASubgroup
 from flab.groups import make_group
+from flab.lattice import cyclic_primary_subgroups, sylow_subgroups
 from flab.subgroups import (
     bits,
     centralizer,
@@ -9,7 +10,6 @@ from flab.subgroups import (
     closure_mask,
     commutator_subgroup,
     core,
-    cyclic_primary_subgroups,
     full_subgroup,
     normalizer,
     o_pi,
@@ -19,7 +19,6 @@ from flab.subgroups import (
     prime_factors,
     subgroup_from_idxs,
     subgroup_from_mask,
-    sylow_subgroups,
     trivial_subgroup,
 )
 

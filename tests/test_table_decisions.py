@@ -1,8 +1,9 @@
-"""The counting and table-built decisions against the algorithms they replaced.
+"""The counting, table-built and lattice-read decisions against the algorithms they replaced.
 
 Nilpotency by counting p-elements, cross membership by pi-element sets, the
-table-built centrality-oracle product and the per-class subnormalizer
-intersection are each compared with their former algorithm in ``oracles.py``.
+table-built centrality-oracle product, the per-class subnormalizer
+intersection, and the Sylow and cyclic primary subgroups read off the lattice
+are each compared with their former algorithm in ``oracles.py``.
 """
 
 from collections import Counter
@@ -11,16 +12,21 @@ from flab import config
 from flab.corpus import build_corpus
 from flab.errors import OracleCapExceeded
 from flab.formations import NIL, formation_member, parse_formation
+from flab.groups import make_group
 from flab.hypercenter import build_factor_action_product
 from flab.intersections import CYCLIC_PRIMARY, SYLOW, subnormalizer_intersection
-from flab.lattice import all_subgroups, maximal_subgroups
+from flab import lattice
+from flab.lattice import all_subgroups, cyclic_primary_subgroups, maximal_subgroups, sylow_subgroups
 from flab.series import chief_factors, is_nilpotent
+from flab.subgroups import conjugacy_orbit, prime_factors
 
 from .oracles import (
     cross_member_by_o_pi,
+    cyclic_primary_by_closure,
     factor_action_product_by_permutations,
     is_nilpotent_by_sylow,
     subnormalizer_intersection_per_member,
+    sylow_subgroup_by_growth,
 )
 
 _CROSS = [
@@ -89,3 +95,34 @@ def test_subnormalizer_intersection_per_class_matches_per_member_oracle():
                 for sigma in (SYLOW, CYCLIC_PRIMARY):
                     got = subnormalizer_intersection(F, sigma, X).mask
                     assert got == subnormalizer_intersection_per_member(F, sigma, X), (G.name, F, sigma.tag)
+
+
+def test_sylow_subgroups_from_lattice_match_grown_oracle():
+    for G in _corpus(120):
+        for ref in all_subgroups(G).refs:
+            for p in prime_factors(ref.order):
+                got = [P.mask for P in sylow_subgroups(ref, p)]
+                assert got == conjugacy_orbit(ref, sylow_subgroup_by_growth(ref, p).mask), (G.name, ref.order, p)
+
+
+def test_cyclic_primary_subgroups_from_lattice_match_closure_oracle():
+    for G in _corpus(120):
+        for ref in all_subgroups(G).refs:
+            got = [(H.mask, H.gen_idxs) for H in cyclic_primary_subgroups(ref)]
+            expected = [(H.mask, H.gen_idxs) for H in cyclic_primary_by_closure(ref)]
+            assert got == expected, (G.name, ref.order)
+
+
+def test_lattice_walks_each_conjugacy_class_once(monkeypatch):
+    calls = Counter()
+
+    def counting_orbit(X, mask):
+        calls[mask] += 1
+        return conjugacy_orbit(X, mask)
+
+    monkeypatch.setattr(lattice, "conjugacy_orbit", counting_orbit)
+    for spec in ("S4", "SL(2,3)", "C2 x S4", "D24"):
+        calls.clear()
+        lat = all_subgroups(make_group(spec))
+        assert sum(calls.values()) <= len(lat.classes), spec
+        assert max(calls.values()) == 1, spec
