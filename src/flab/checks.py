@@ -34,6 +34,7 @@ from .formations import (
     formation_member,
     formation_residual,
     parse_formation,
+    partition_blocks_for,
     pi_support,
     boundary_counterexample_search,
     supports_local_definition,
@@ -175,20 +176,13 @@ def _theorem_a(entry: CorpusEntry, params: dict) -> list[dict]:
     """Intersection of per-block normalizer intersections equals the cross hypercenter."""
     blocks: list[tuple[frozenset[int], bool]] = params["partition"]
     G = entry.group
+    F = _partition_to_cross(blocks)
     mask = full_subgroup(G).mask
-    remaining = set(prime_factors(G.order))
-    per_block: list[tuple[frozenset[int], bool]] = []
-    for primes, soluble in blocks:
-        if primes & remaining:
-            per_block.append((primes, soluble))
-            remaining -= primes
-    for p in sorted(remaining):
-        per_block.append((frozenset([p]), False))
-    for primes, soluble in per_block:
+    for primes, soluble in partition_blocks_for(F, prime_factors(G.order)):
         Fi: FormationExpr = SolPi(primes) if soluble else Gpi(primes)
         mask &= f_maximal_normalizer_intersection(Fi, G).mask
     lhs = subgroup_from_mask(G, mask)
-    rhs = hypercenter(_partition_to_cross(blocks), G)
+    rhs = hypercenter(F, G)
     return [_row(entry, lhs, rhs, _PROBE_NOTE if _has_soluble_block(blocks) else None)]
 
 

@@ -23,18 +23,24 @@ from .errors import (
 )
 from .groups import (
     Group,
+    StabilizerChain,
     is_nilpotent_chain,
     is_soluble_chain,
     nilpotent_residual_gens,
     quotient,
 )
+from .lattice import maximal_subgroups
+from .series import chief_factors, derived_series, is_nilpotent, is_soluble
 from .subgroups import (
     SubgroupRef,
     as_ref,
     bits,
     closure_mask,
+    gens_for_mask,
+    normal_closure_mask,
     normal_subgroup_masks,
-    o_pi_up_fast_mask,
+    o_pi,
+    o_pi_up,
     p_part,
     pi_elements,
     prime_factors,
@@ -256,8 +262,6 @@ def _member_large_group(F: FormationExpr, G: Group) -> bool:
             gens = nilpotent_residual_gens(gens, G.degree)
             if not gens:
                 return True
-        from .groups import StabilizerChain
-
         return StabilizerChain(G.degree, gens).order() == 1
     if isinstance(F, Supersoluble):
         if not is_soluble_chain(G):
@@ -280,24 +284,14 @@ def _member_ref(F: FormationExpr, X: SubgroupRef) -> bool:
     if isinstance(F, SolPi):
         if any(p not in F.primes for p in prime_factors(X.order)):
             return False
-        from .series import is_soluble
-
         return is_soluble(X)
     if isinstance(F, Nil):
-        from .series import is_nilpotent
-
         return is_nilpotent(X)
     if isinstance(F, Sol):
-        from .series import is_soluble
-
         return is_soluble(X)
     if isinstance(F, NilPow):
-        from .series import is_soluble
-
         return is_soluble(X) and _iterated_nil_residual(X, F.r).bit_count() == 1
     if isinstance(F, Supersoluble):
-        from .series import chief_factors, is_soluble
-
         if not is_soluble(X):
             return False
         return all(_is_prime_int(f.order) for f in chief_factors(X))
@@ -325,8 +319,6 @@ def _cross_member_ref(F: Cross, X: SubgroupRef) -> bool:
     ``closure_mask`` per block.  The O_pi construction this replaced is
     ``tests/oracles.py::cross_member_by_o_pi``.
     """
-    from .series import is_soluble
-
     order = X.order
     primes = prime_factors(order)
     blocks = partition_blocks_for(F, primes)
@@ -384,8 +376,6 @@ def _quotient_member(F: FormationExpr, X: SubgroupRef, normal_mask: int) -> bool
         return True  # trivial quotient is in every catalog class
     sub = subgroup_to_group(X)
     sub_mask = translate_mask(X, normal_mask)
-    from .subgroups import gens_for_mask
-
     qm = quotient(sub, sub_mask, gens_for_mask(sub, sub_mask))
     return formation_member(F, qm.group)
 
@@ -415,17 +405,11 @@ def _nil_residual_step(G: Group, mask: int, gen_idxs: list[int]) -> tuple[int, l
             for b in sub_gens:
                 comms.add(G.mul(G.mul(ainv, G.inv(b)), G.mul(a, b)))
         comms.discard(G.identity_idx)
-        from .subgroups import normal_closure_mask
-
         ncl = normal_closure_mask(ref, sorted(comms))
         size = ncl.bit_count()
         if size == prev_order:
-            from .subgroups import gens_for_mask
-
             return ncl, list(gens_for_mask(G, ncl))
         prev_order = size
-        from .subgroups import gens_for_mask
-
         current = list(gens_for_mask(G, ncl))
 
 
@@ -436,19 +420,15 @@ def residual_mask(F: FormationExpr, X: SubgroupRef) -> int:
     """
     G = X.ambient
     if isinstance(F, Gpi):
-        return o_pi_up_fast_mask(X, F.primes)
+        return o_pi_up(X, F.primes).mask
     if isinstance(F, SolPi):
-        from .series import derived_series
-
-        piece = o_pi_up_fast_mask(X, F.primes) | derived_series(X)[-1].mask
+        piece = o_pi_up(X, F.primes).mask | derived_series(X)[-1].mask
         return closure_mask(G, list(bits(piece)))
     if isinstance(F, Nil):
         return _iterated_nil_residual(X, 1)
     if isinstance(F, NilPow):
         return _iterated_nil_residual(X, F.r)
     if isinstance(F, Sol):
-        from .series import derived_series
-
         return derived_series(X)[-1].mask
     if isinstance(F, Cross):
         # residual of an intersection of formations is the join of residuals;
@@ -457,15 +437,11 @@ def residual_mask(F: FormationExpr, X: SubgroupRef) -> int:
         pieces = 0
         for primes, soluble in partition_blocks_for(F, prime_factors(X.order)):
             complement = frozenset(p for p in prime_factors(X.order) if p not in primes)
-            a_mask = o_pi_up_fast_mask(X, complement)  # <pi-elements>
-            b_mask = o_pi_up_fast_mask(X, primes)  # <pi'-elements>
-            a_ref = subgroup_from_mask(G, a_mask)
-            b_ref = subgroup_from_mask(G, b_mask)
-            pieces |= o_pi_up_fast_mask(a_ref, primes)
-            pieces |= o_pi_up_fast_mask(b_ref, complement)
+            a_ref = o_pi_up(X, complement)  # <pi-elements>
+            b_ref = o_pi_up(X, primes)  # <pi'-elements>
+            pieces |= o_pi_up(a_ref, primes).mask
+            pieces |= o_pi_up(b_ref, complement).mask
             if soluble:
-                from .series import derived_series
-
                 pieces |= derived_series(a_ref)[-1].mask
         return closure_mask(G, list(bits(pieces)))
     if isinstance(F, Supersoluble):
@@ -501,12 +477,8 @@ def local_def_member(F: FormationExpr, p: int, X: Group | SubgroupRef) -> bool:
         block = cross_block_primes(F, p)
         return all(q in block for q in prime_factors(X.order))
     # supersoluble: X / O_p(X) abelian of exponent dividing p - 1
-    from .subgroups import o_pi
-
     sub = subgroup_to_group(X)
     op_mask = translate_mask(X, o_pi(X, [p]).mask)
-    from .subgroups import gens_for_mask
-
     qm = quotient(sub, op_mask, gens_for_mask(sub, op_mask))
     quo = qm.group
     if any((p - 1) % quo.elt_order(a) for a in range(quo.order)):
@@ -531,10 +503,7 @@ def boundary_counterexample_search(
         raise LocalDefinitionUnavailable(
             f"local definition unavailable for {format_formation(F)}"
         )
-    from .lattice import maximal_subgroups
-
     out = []
-    local_cache: dict[tuple[int, int, int], bool] = {}
     for name, G in groups:
         primes = prime_factors(G.order)
         if universe is not None and any(p not in universe for p in primes):
@@ -543,16 +512,6 @@ def boundary_counterexample_search(
             continue
         maxes = maximal_subgroups(G)
         for p in primes:
-            ok = True
-            for M in maxes:
-                key = (id(G), M.mask, p)
-                verdict = local_cache.get(key)
-                if verdict is None:
-                    verdict = local_def_member(F, p, M)
-                    local_cache[key] = verdict
-                if not verdict:
-                    ok = False
-                    break
-            if ok:
+            if all(local_def_member(F, p, M) for M in maxes):
                 out.append((name, p))
     return out

@@ -29,6 +29,7 @@ from .subgroups import (
 )
 from .formations import (
     FormationExpr,
+    formation_key,
     formation_member,
     local_def_member,
     supports_local_definition,
@@ -165,11 +166,13 @@ def _permutation_product(
 def is_f_central_oracle(
     test: MembershipTest, G: Group, factor: ChiefFactor, cap: int | None = None
 ) -> CentralityVerdict:
-    """Centrality by constructing the factor-action product and testing membership."""
-    cent, acting = _factor_quotient_data(G, factor)
+    """Centrality by constructing the factor-action product and testing membership.
+
+    The acting order is read off the product, whose order is |H/K|·|G/C|.
+    """
     W = build_factor_action_product(G, factor, cap)
     member = test(W) if callable(test) else formation_member(test, W)
-    return CentralityVerdict(factor, member, "oracle", acting, W.order)
+    return CentralityVerdict(factor, member, "oracle", W.order // factor.order, W.order)
 
 
 def is_f_central_local(F: FormationExpr, G: Group, factor: ChiefFactor) -> CentralityVerdict:
@@ -233,8 +236,6 @@ def hypercenter(test: MembershipTest, G: Group, method: str = "auto") -> Subgrou
     verification instead of being silently accepted.  Both read the
     per-factor verdicts of :func:`_central`, so each factor is decided once.
     """
-    from .formations import formation_key
-
     # predicate-based classes are not memoized (no stable key for a callable)
     memo_key = None if callable(test) else (formation_key(test), method)
     if memo_key is not None:

@@ -16,10 +16,16 @@ cross-checks residuals against the quotient-based definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import NotASubgroup
 from .formations import (
+    NIL,
     FormationExpr,
+    Nil,
+    NilPow,
+    Sol,
+    Supersoluble,
     formation_member,
     residual_mask,
 )
@@ -35,7 +41,6 @@ from .subgroups import (
     SubgroupRef,
     as_ref,
     bits,
-    _mask_of_images,
     conjugacy_orbit,
     core,
     normalizer,
@@ -93,10 +98,7 @@ def _nil_residual_idx(lat: SubgroupLattice, i: int) -> int:
     table = lat.memo.setdefault("nil-residual", {})
     cached = table.get(i)
     if cached is None:
-        from .formations import residual_mask
-        from .formations import NIL as _NIL
-
-        mask = residual_mask(_NIL, lat.refs[i])
+        mask = residual_mask(NIL, lat.refs[i])
         cached = lat.index_of_mask[mask]
         table[i] = cached
     return cached
@@ -144,17 +146,15 @@ def _member_idx(lat: SubgroupLattice, F: FormationExpr, i: int) -> bool:
         lat.memo[key] = table
     cached = table.get(i)
     if cached is None:
-        from .formations import Nil as _Nil, NilPow as _NilPow, Sol as _Sol, Supersoluble as _U
-
-        if isinstance(F, _Nil):
+        if isinstance(F, Nil):
             length = _fitting_length_idx(lat, i)
             cached = length is not None and length <= 1
-        elif isinstance(F, _NilPow):
+        elif isinstance(F, NilPow):
             length = _fitting_length_idx(lat, i)
             cached = length is not None and length <= F.r
-        elif isinstance(F, _Sol):
+        elif isinstance(F, Sol):
             cached = _fitting_length_idx(lat, i) is not None
-        elif isinstance(F, _U):
+        elif isinstance(F, Supersoluble):
             # prime-index criterion: supersoluble iff every maximal subgroup
             # has prime index
             order = lat.refs[i].order
@@ -197,56 +197,39 @@ def f_maximal_intersection(F: FormationExpr, X: Group | SubgroupRef) -> Subgroup
     return subgroup_from_mask(X.ambient, mask)
 
 
-def _normalizer_class_intersection(X: SubgroupRef, refs: list[SubgroupRef]) -> int:
-    """Intersection of N_X(M) over the given subgroups.
+def _class_core_intersection(
+    X: SubgroupRef, family: list[SubgroupRef], result_mask: Callable[[SubgroupRef], int]
+) -> int:
+    """Intersection of ``result_mask(H)`` over a family closed under conjugation by X.
 
-    Conjugation permutes the family's normalizers (N_X(M^g) = N_X(M)^g and M
-    is recovered from N as its unique "normal copy"), so one normalizer per
-    X-conjugacy class is computed by scanning and the rest by conjugating it.
+    The result must commute with conjugation, result(H^x) = result(H)^x (as
+    N_X(M^x) = N_X(M)^x does), so over the X-class of H the results
+    intersect to the X-core of result(H): one member of each class is
+    decided and the rest of its class is skipped.
     """
-    G = X.ambient
-    rows = [G.conj_row(g) for g in X.gen_idxs]
     mask = X.mask
-    seen: set[int] = set()
-    for ref in refs:
-        if ref.mask in seen:
+    done: set[int] = set()
+    for H in family:
+        if H.mask in done:
             continue
-        n_ref = normalizer(X, ref)
-        orbit_pairs = {ref.mask: n_ref.mask}
-        frontier = [(ref.mask, n_ref.mask)]
-        while frontier:
-            nxt = []
-            for m, nm in frontier:
-                m_members = list(bits(m))
-                nm_members = None
-                for row in rows:
-                    cm = _mask_of_images(row, m_members)
-                    if cm not in orbit_pairs:
-                        if nm_members is None:
-                            nm_members = list(bits(nm))
-                        cnm = _mask_of_images(row, nm_members)
-                        orbit_pairs[cm] = cnm
-                        nxt.append((cm, cnm))
-            frontier = nxt
-        for m, nm in orbit_pairs.items():
-            seen.add(m)
-            mask &= nm
+        done.update(conjugacy_orbit(X, H.mask))
+        for m in conjugacy_orbit(X, result_mask(H)):
+            mask &= m
     return mask
 
 
 def f_maximal_normalizer_intersection(F: FormationExpr, X: Group | SubgroupRef) -> SubgroupRef:
     """Intersection of the normalizers (in X) of all class-maximal members."""
     X = as_ref(X)
-    mask = _normalizer_class_intersection(X, f_maximal_subgroups(F, X))
+    mask = _class_core_intersection(X, f_maximal_subgroups(F, X), lambda M: normalizer(X, M).mask)
     return subgroup_from_mask(X.ambient, mask)
 
 
 def sylow_normalizer_intersection(X: Group | SubgroupRef) -> SubgroupRef:
     """Intersection of the normalizers of all Sylow subgroups."""
     X = as_ref(X)
-    mask = X.mask
-    for p in prime_factors(X.order):
-        mask &= _normalizer_class_intersection(X, sylow_subgroups(X, p))
+    family = [P for p in prime_factors(X.order) for P in sylow_subgroups(X, p)]
+    mask = _class_core_intersection(X, family, lambda P: normalizer(X, P).mask)
     return subgroup_from_mask(X.ambient, mask)
 
 
@@ -272,13 +255,11 @@ def _residual_idx(lat: SubgroupLattice, F: FormationExpr, i: int) -> int:
         lat.memo[key] = table
     cached = table.get(i)
     if cached is None:
-        from .formations import Nil as _Nil, NilPow as _NilPow
-
         if _member_idx(lat, F, i):
             cached = 1 << lat.ambient.identity_idx
-        elif isinstance(F, _Nil):
+        elif isinstance(F, Nil):
             cached = lat.refs[_nil_residual_idx(lat, i)].mask
-        elif isinstance(F, _NilPow):
+        elif isinstance(F, NilPow):
             j = i
             for _ in range(F.r):
                 j = _nil_residual_idx(lat, j)
@@ -388,24 +369,18 @@ def subnormalizer_intersection(
 ) -> SubgroupRef:
     """Intersection of all subnormalizers of all subgroups from the functor.
 
-    The functor's family is closed under conjugation by X and the
-    subnormalizers of H^g are those of H conjugated by g, so over the
-    X-class of H the intersection is the core in X of the intersection for
-    H alone: subnormalizers are computed for one member of each class.
+    The subnormalizers of H^x are those of H conjugated by x, so they are
+    computed for one member of each X-class of the family.
     """
     X = as_ref(X)
-    mask = X.mask
-    done: set[int] = set()
-    for H in sigma(X):
-        if H.mask in done:
-            continue
-        done.update(conjugacy_orbit(X, H.mask))
-        carriers = X.mask
+
+    def carriers_mask(H: SubgroupRef) -> int:
+        mask = X.mask
         for carrier in f_subnormalizers(F, H, X).carriers:
-            carriers &= carrier.mask
-        for m in conjugacy_orbit(X, carriers):
-            mask &= m
-    return subgroup_from_mask(X.ambient, mask)
+            mask &= carrier.mask
+        return mask
+
+    return subgroup_from_mask(X.ambient, _class_core_intersection(X, sigma(X), carriers_mask))
 
 
 def abnormal_maximal_intersection(F: FormationExpr, X: Group | SubgroupRef) -> SubgroupRef:

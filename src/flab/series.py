@@ -12,6 +12,7 @@ from .subgroups import (
     bits,
     closure_mask,
     full_subgroup,
+    normal_closure_mask,
     normal_subgroup_masks,
     o_pi,
     p_part,
@@ -168,8 +169,6 @@ def upper_central_series(X: Group | SubgroupRef) -> list[SubgroupRef]:
 
 def derived_subgroup(X: SubgroupRef) -> SubgroupRef:
     """[X, X] as the normal closure in X of the generator commutators."""
-    from .subgroups import gens_for_mask, normal_closure_mask
-
     G = X.ambient
     seeds = set()
     gens = X.gen_idxs

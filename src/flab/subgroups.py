@@ -75,9 +75,6 @@ class SubgroupRef:
     def contains(self, other: "SubgroupRef") -> bool:
         return other.mask & ~self.mask == 0
 
-    def generators(self):
-        return [self.ambient.perm_at(i) for i in self.gen_idxs]
-
     def __repr__(self) -> str:
         return f"<Subgroup order {self.order} of {self.ambient.name or self.ambient.degree}>"
 
@@ -294,17 +291,17 @@ def centralizer(X: Group | SubgroupRef, H: SubgroupRef) -> SubgroupRef:
     G = X.ambient
     if H.ambient is not G:
         raise NotASubgroup("operands live in different ambient groups")
-    out = 0
-    for g in _members(X):
-        if all(G.mul(g, h) == G.mul(h, g) for h in H.gen_idxs):
-            out |= 1 << g
-    return subgroup_from_mask(G, out)
+    return centralizer_of_factor(X, H, trivial_subgroup(G))
 
 
 def centralizer_of_factor(
     X: Group | SubgroupRef, H: SubgroupRef, K: SubgroupRef
 ) -> SubgroupRef:
-    """C_X(H/K) = {g : [g, H] <= K}; requires K <= H with both normal in X."""
+    """C_X(H/K) = {g : [g, H] <= K}; requires K <= H.
+
+    H/K is a factor of X when both are normal in X; with K = 1 this is the
+    centralizer of any H.
+    """
     X = as_ref(X)
     G = X.ambient
     if not H.contains(K):
@@ -330,14 +327,6 @@ def centralizer_of_factor(
     return subgroup_from_mask(G, out)
 
 
-def _mask_of_images(row: Sequence[int], members: Iterable[int]) -> int:
-    """The mask of the images ``row[x]`` of the given element indices."""
-    out = 0
-    for x in members:
-        out |= 1 << row[x]
-    return out
-
-
 def conjugacy_orbit(X: Group | SubgroupRef, mask: int) -> list[int]:
     """Orbit of a subgroup mask under conjugation by X (via X's generators).
 
@@ -354,7 +343,9 @@ def conjugacy_orbit(X: Group | SubgroupRef, mask: int) -> list[int]:
         for m in frontier:
             members = list(bits(m))
             for row in rows:
-                c = _mask_of_images(row, members)
+                c = 0
+                for x in members:
+                    c |= 1 << row[x]
                 if c not in seen:
                     seen.add(c)
                     nxt.append(c)
@@ -569,30 +560,23 @@ def o_pi(X: Group | SubgroupRef, pi: Iterable[int]) -> SubgroupRef:
 
 
 def o_pi_up(X: Group | SubgroupRef, pi: Iterable[int]) -> SubgroupRef:
-    """O^pi(X): smallest normal subgroup with pi-quotient (intersection of all)."""
+    """O^pi(X): the smallest normal subgroup with pi-quotient.
+
+    It is generated by the pi'-elements of X, and so by those of order q^k
+    with q outside pi.  The intersection of the normal subgroups with
+    pi-quotient that this replaced is ``tests/oracles.py::o_pi_up_by_normal_subgroups``.
+    """
     X = as_ref(X)
-    pi = frozenset(pi)
-    order = X.order
-    result = X.mask
-    for m in normal_subgroup_masks(X):
-        if all(p in pi for p in prime_factors(order // m.bit_count())):
-            result &= m
-    # the intersection is itself such a subgroup (the family is closed under it)
-    if any(p not in pi for p in prime_factors(order // result.bit_count())):
-        raise NotASubgroup("O^pi intersection left the family")  # pragma: no cover
-    return subgroup_from_mask(X.ambient, result)
-
-
-def o_pi_up_fast_mask(X: SubgroupRef, pi: frozenset[int]) -> int:
-    """O^pi(X) computed directly as <all q-elements of X, q outside pi>."""
     G = X.ambient
-    seeds = []
-    for x in bits(X.mask):
-        o = G.elt_order(x)
+    pi = frozenset(pi)
+    orders = G.elt_orders()
+    seed_orders = set()
+    for o in set(orders):
         primes = prime_factors(o)
         if len(primes) == 1 and primes[0] not in pi:
-            seeds.append(x)
-    return closure_mask(G, seeds)
+            seed_orders.add(o)
+    seeds = [x for x in _members(X) if orders[x] in seed_orders]
+    return subgroup_from_mask(G, closure_mask(G, seeds))
 
 
 def o_pp(X: Group | SubgroupRef, p: int) -> SubgroupRef:

@@ -9,8 +9,9 @@ and builds the quotient from permutations; and the replaced decisions at the
 end of this file (the Sylow subgroup grown through normalizers, cyclic
 primary subgroups by one closure per element, Sylow nilpotency, cross
 membership through O_pi, the permutation-built oracle product, the
-per-member subnormalizer intersection), each the library's algorithm before
-its exact shortcut or before the lattice became its source.
+per-member subnormalizer and normalizer intersections, O^pi as an
+intersection of normal subgroups), each the library's algorithm before its
+exact shortcut or before the lattice became its source.
 """
 
 from __future__ import annotations
@@ -393,4 +394,30 @@ def subnormalizer_intersection_per_member(F, sigma, X):
     for H in sigma(X):
         for carrier in f_subnormalizers(F, H, X).carriers:
             mask &= carrier.mask
+    return mask
+
+
+def normalizer_intersection_per_member(X, family):
+    """Oracle for the Sylow- and class-maximal normalizer intersections: the
+    normalizer in X of every member of the family, intersected; returns a mask."""
+    from flab.subgroups import as_ref, normalizer
+
+    X = as_ref(X)
+    mask = X.mask
+    for M in family:
+        mask &= normalizer(X, M).mask
+    return mask
+
+
+def o_pi_up_by_normal_subgroups(X, pi):
+    """Oracle for ``subgroups.o_pi_up``: the intersection of the normal
+    subgroups of X with pi-quotient; returns a mask."""
+    from flab.subgroups import as_ref, normal_subgroup_masks, prime_factors
+
+    X = as_ref(X)
+    pi = frozenset(pi)
+    mask = X.mask
+    for m in normal_subgroup_masks(X):
+        if pi.issuperset(prime_factors(X.order // m.bit_count())):
+            mask &= m
     return mask

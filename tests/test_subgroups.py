@@ -14,7 +14,6 @@ from flab.subgroups import (
     normalizer,
     o_pi,
     o_pi_up,
-    o_pi_up_fast_mask,
     o_pp,
     prime_factors,
     subgroup_from_idxs,
@@ -22,7 +21,16 @@ from flab.subgroups import (
     trivial_subgroup,
 )
 
-from .oracles import centralizer_bf, commutator_bf, core_bf, elements_of, normalizer_bf
+from flab.lattice import all_subgroups
+
+from .oracles import (
+    centralizer_bf,
+    commutator_bf,
+    core_bf,
+    elements_of,
+    normalizer_bf,
+    o_pi_up_by_normal_subgroups,
+)
 
 
 def _ref_to_set(ref):
@@ -105,6 +113,12 @@ def test_centralizer_examples(s3, s4):
     ambient = elements_of(s4)
     v4 = _subgroup_where(s4, lambda p: p.order() == 2 and len(p.cycles()) == 2)
     assert _ref_to_set(centralizer(s4, v4)) == centralizer_bf(ambient, _ref_to_set(v4))
+    for spec in ("S4", "SL(2,3)", "D12"):
+        refs = all_subgroups(make_group(spec)).refs
+        for X in refs:
+            for H in refs:
+                expected = centralizer_bf(_ref_to_set(X), _ref_to_set(H))
+                assert _ref_to_set(centralizer(X, H)) == expected, (spec, X.order, H.order)
 
 
 def test_factor_centralizer_v4_in_s4(s4):
@@ -177,12 +191,11 @@ def test_o_pi_examples(s4):
 
 
 def test_o_pi_up_fast_agrees(s4):
-    for pi in ([2], [3], [2, 3], []):
-        ref = full_subgroup(s4)
-        assert o_pi_up(s4, pi).mask == o_pi_up_fast_mask(ref, frozenset(pi))
-    sl = make_group("SL(2,3)")
-    for pi in ([2], [3], [2, 3]):
-        assert o_pi_up(sl, pi).mask == o_pi_up_fast_mask(full_subgroup(sl), frozenset(pi))
+    # O^pi from the pi'-elements against the intersection of normal subgroups
+    for spec in ("S4", "SL(2,3)", "D12"):
+        for X in all_subgroups(make_group(spec)).refs:
+            for pi in ([2], [3], [2, 3], []):
+                assert o_pi_up(X, pi).mask == o_pi_up_by_normal_subgroups(X, pi), (spec, X.order, pi)
 
 
 def test_o_pp_s4(s4):

@@ -1,20 +1,27 @@
 """The counting, table-built and lattice-read decisions against the algorithms they replaced.
 
 Nilpotency by counting p-elements, cross membership by pi-element sets, the
-table-built centrality-oracle product, the per-class subnormalizer
-intersection, and the Sylow and cyclic primary subgroups read off the lattice
-are each compared with their former algorithm in ``oracles.py``.
+table-built centrality-oracle product, the per-class subnormalizer and
+normalizer intersections, and the Sylow and cyclic primary subgroups read off
+the lattice are each compared with their former algorithm in ``oracles.py``.
 """
 
 from collections import Counter
 
 from flab import config
-from flab.corpus import build_corpus
+from flab.corpus import _FIXED_PRODUCTS, build_corpus
 from flab.errors import OracleCapExceeded
 from flab.formations import NIL, formation_member, parse_formation
 from flab.groups import make_group
 from flab.hypercenter import build_factor_action_product
-from flab.intersections import CYCLIC_PRIMARY, SYLOW, subnormalizer_intersection
+from flab.intersections import (
+    CYCLIC_PRIMARY,
+    SYLOW,
+    f_maximal_normalizer_intersection,
+    f_maximal_subgroups,
+    subnormalizer_intersection,
+    sylow_normalizer_intersection,
+)
 from flab import lattice
 from flab.lattice import all_subgroups, cyclic_primary_subgroups, maximal_subgroups, sylow_subgroups
 from flab.series import chief_factors, is_nilpotent
@@ -25,6 +32,7 @@ from .oracles import (
     cyclic_primary_by_closure,
     factor_action_product_by_permutations,
     is_nilpotent_by_sylow,
+    normalizer_intersection_per_member,
     subnormalizer_intersection_per_member,
     sylow_subgroup_by_growth,
 )
@@ -95,6 +103,20 @@ def test_subnormalizer_intersection_per_class_matches_per_member_oracle():
                 for sigma in (SYLOW, CYCLIC_PRIMARY):
                     got = subnormalizer_intersection(F, sigma, X).mask
                     assert got == subnormalizer_intersection_per_member(F, sigma, X), (G.name, F, sigma.tag)
+
+
+def test_normalizer_intersections_per_class_match_per_member_oracle():
+    fixed = {name for name, _ in _FIXED_PRODUCTS}
+    groups = [e.group for e in build_corpus(324) if e.group.order <= 60 or e.name in fixed]
+    classes = [NIL, parse_formation("U"), parse_formation("Gpi{2,3}")]
+    for G in groups:
+        for X in all_subgroups(G).refs:
+            sylows = [P for p in prime_factors(X.order) for P in sylow_subgroups(X, p)]
+            expected = normalizer_intersection_per_member(X, sylows)
+            assert sylow_normalizer_intersection(X).mask == expected, (G.name, X.order)
+            for F in classes:
+                expected = normalizer_intersection_per_member(X, f_maximal_subgroups(F, X))
+                assert f_maximal_normalizer_intersection(F, X).mask == expected, (G.name, X.order, F)
 
 
 def test_sylow_subgroups_from_lattice_match_grown_oracle():
