@@ -32,8 +32,8 @@ from .formations import (
     _parse_primeset,
     format_formation,
     formation_member,
-    formation_residual,
     parse_formation,
+    residual_mask,
     partition_blocks_for,
     pi_support,
     boundary_counterexample_search,
@@ -305,7 +305,7 @@ def _lemma_suite(G: Group, F: FormationExpr, failures: list[str]) -> int:
     ni = f_maximal_normalizer_intersection(F, G)
     int_f = f_maximal_intersection(F, G)
     z = hypercenter(F, G)
-    residual = formation_residual(F, G)
+    residual = subgroup_from_mask(G, residual_mask(F, G))
 
     normal_masks = list(normal_subgroup_masks(full))
     class_reps = [lat.refs[cls[0]] for cls in lat.classes]

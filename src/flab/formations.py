@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import prod
-from typing import Union
+from typing import Any, Callable, Union
 
 from . import config
 from .errors import (
@@ -24,13 +24,12 @@ from .errors import (
 from .groups import (
     Group,
     StabilizerChain,
-    is_nilpotent_chain,
     is_soluble_chain,
     nilpotent_residual_gens,
     quotient,
 )
 from .lattice import maximal_subgroups
-from .series import chief_factors, derived_series, is_nilpotent, is_soluble
+from .series import derived_series, is_nilpotent, is_soluble
 from .subgroups import (
     SubgroupRef,
     as_ref,
@@ -238,10 +237,29 @@ def _burnside_small(primes: frozenset[int]) -> bool:
 
 
 def formation_member(F: FormationExpr, X: Group | SubgroupRef) -> bool:
-    """Membership test for the catalog classes."""
+    """Membership test for the catalog classes, memoised per ambient group, class and mask.
+
+    This is the one rule per class for every caller: the counting test for
+    ``N``; the iterated lower-central limit for ``N^r``; the derived series for
+    ``Sol``; Huppert's criterion for ``U`` (supersoluble iff every maximal
+    subgroup has prime index, read off the subgroup lattice); pi-element
+    counts for cross products.
+    """
     if isinstance(X, Group) and X.order > config.ELEMENT_CAP:
         return _member_large_group(F, X)
-    return _member_ref(F, as_ref(X))
+    return _memoised("member", F, as_ref(X), _member_ref)
+
+
+def _memoised(kind: str, F: FormationExpr, X: SubgroupRef, decide: Callable) -> Any:
+    """``decide(F, X)``, memoised on the ambient group per decision kind, class and mask."""
+    memos = X.ambient._class_memo
+    memo = memos.get((kind, F))
+    if memo is None:
+        memo = memos[(kind, F)] = {}
+    value = memo.get(X.mask)
+    if value is None:
+        value = memo[X.mask] = decide(F, X)
+    return value
 
 
 def _member_large_group(F: FormationExpr, G: Group) -> bool:
@@ -252,13 +270,9 @@ def _member_large_group(F: FormationExpr, G: Group) -> bool:
         return all(p in F.primes for p in prime_factors(G.order)) and is_soluble_chain(G)
     if isinstance(F, Sol):
         return is_soluble_chain(G)
-    if isinstance(F, Nil):
-        return is_nilpotent_chain(G)
-    if isinstance(F, NilPow):
-        if not is_soluble_chain(G):
-            return False
+    if isinstance(F, (Nil, NilPow)):
         gens = list(G.generators)
-        for _ in range(F.r):
+        for _ in range(F.r if isinstance(F, NilPow) else 1):
             gens = nilpotent_residual_gens(gens, G.degree)
             if not gens:
                 return True
@@ -290,14 +304,17 @@ def _member_ref(F: FormationExpr, X: SubgroupRef) -> bool:
     if isinstance(F, Sol):
         return is_soluble(X)
     if isinstance(F, NilPow):
-        return is_soluble(X) and _iterated_nil_residual(X, F.r).bit_count() == 1
+        return residual_mask(F, X).bit_count() == 1
     if isinstance(F, Supersoluble):
-        if not is_soluble(X):
-            return False
-        return all(_is_prime_int(f.order) for f in chief_factors(X))
+        return not _non_prime_index_maximals(X)
     if isinstance(F, Cross):
         return _cross_member_ref(F, X)
     raise TypeError(f"not a formation expression: {F!r}")
+
+
+def _non_prime_index_maximals(X: SubgroupRef) -> list[int]:
+    """Masks of the maximal subgroups of X whose index is not prime."""
+    return [M.mask for M in maximal_subgroups(X) if not _is_prime_int(X.order // M.order)]
 
 
 def _is_prime_int(n: int) -> bool:
@@ -381,23 +398,26 @@ def _quotient_member(F: FormationExpr, X: SubgroupRef, normal_mask: int) -> bool
 
 
 def _iterated_nil_residual(X: SubgroupRef, r: int) -> int:
-    """Mask of the N^r-residual: the lower-central limit iterated r times."""
-    mask = X.mask
-    gens = list(X.gen_idxs)
-    G = X.ambient
+    """Mask of the N^r-residual: the memoised lower-central limit iterated r times.
+
+    The iteration stops early at a fixed point: the unit group, or a perfect
+    subgroup when X is not soluble.
+    """
+    ref = X
     for _ in range(r):
-        mask, gens = _nil_residual_step(G, mask, gens)
-        if mask.bit_count() == 1:
+        mask = residual_mask(NIL, ref)
+        if mask == ref.mask:
             break
-    return mask
+        ref = subgroup_from_mask(X.ambient, mask)
+    return ref.mask
 
 
-def _nil_residual_step(G: Group, mask: int, gen_idxs: list[int]) -> tuple[int, list[int]]:
-    """Lower-central-series limit of the subgroup <gen_idxs>, at index level."""
-    sub_gens = list(gen_idxs)
+def _nil_residual(X: SubgroupRef) -> int:
+    """Mask of the lower-central-series limit of X, at index level."""
+    G = X.ambient
+    sub_gens = X.gen_idxs
     current = sub_gens
-    ref = SubgroupRef(G, mask, tuple(sub_gens))
-    prev_order = mask.bit_count()
+    prev_order = X.order
     while True:
         comms = set()
         for a in current:
@@ -405,19 +425,37 @@ def _nil_residual_step(G: Group, mask: int, gen_idxs: list[int]) -> tuple[int, l
             for b in sub_gens:
                 comms.add(G.mul(G.mul(ainv, G.inv(b)), G.mul(a, b)))
         comms.discard(G.identity_idx)
-        ncl = normal_closure_mask(ref, sorted(comms))
+        ncl = normal_closure_mask(X, sorted(comms))
         size = ncl.bit_count()
         if size == prev_order:
-            return ncl, list(gens_for_mask(G, ncl))
+            return ncl
         prev_order = size
-        current = list(gens_for_mask(G, ncl))
+        current = gens_for_mask(G, ncl)
 
 
-def residual_mask(F: FormationExpr, X: SubgroupRef) -> int:
-    """The residual's fast path, at index level (no quotient construction where avoidable).
+def _supersoluble_residual(X: SubgroupRef) -> int:
+    """Mask of the U-residual: by Huppert's criterion X/N is supersoluble iff N
+    lies in no maximal subgroup of X of non-prime index, so the residual is the
+    meet of the normal subgroups of X that lie in none of them."""
+    bad = _non_prime_index_maximals(X)
+    if not bad:
+        return 1 << X.ambient.identity_idx
+    mask = X.mask
+    for m in normal_subgroup_masks(X):
+        if all(m & ~b for b in bad):
+            mask &= m
+    return mask
+
+
+def residual_mask(F: FormationExpr, X: Group | SubgroupRef) -> int:
+    """The residual's fast path, at index level, memoised per ambient group, class and mask.
 
     Cross-checked against :func:`formation_residual` by the test suite.
     """
+    return _memoised("residual", F, as_ref(X), _residual_ref)
+
+
+def _residual_ref(F: FormationExpr, X: SubgroupRef) -> int:
     G = X.ambient
     if isinstance(F, Gpi):
         return o_pi_up(X, F.primes).mask
@@ -425,7 +463,7 @@ def residual_mask(F: FormationExpr, X: SubgroupRef) -> int:
         piece = o_pi_up(X, F.primes).mask | derived_series(X)[-1].mask
         return closure_mask(G, list(bits(piece)))
     if isinstance(F, Nil):
-        return _iterated_nil_residual(X, 1)
+        return _nil_residual(X)
     if isinstance(F, NilPow):
         return _iterated_nil_residual(X, F.r)
     if isinstance(F, Sol):
@@ -445,7 +483,7 @@ def residual_mask(F: FormationExpr, X: SubgroupRef) -> int:
                 pieces |= derived_series(a_ref)[-1].mask
         return closure_mask(G, list(bits(pieces)))
     if isinstance(F, Supersoluble):
-        return formation_residual(F, X).mask
+        return _supersoluble_residual(X)
     raise TypeError(f"not a formation expression: {F!r}")
 
 

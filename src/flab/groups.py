@@ -207,6 +207,7 @@ class Group:
         self._factor_products: dict[tuple[int, int], "Group"] = {}
         self._central_verdicts: dict[tuple, bool] = {}
         self._minimal_above: dict[int, tuple[int, ...]] = {}
+        self._class_memo: dict[tuple, dict[int, object]] = {}
 
     @classmethod
     def from_table(
@@ -487,20 +488,6 @@ def is_soluble_chain(G: Group) -> bool:
     while order > 1:
         gens = derived_subgroup_gens(gens, G.degree)
         new_order = StabilizerChain(G.degree, gens).order()
-        if new_order == order:
-            return False
-        order = new_order
-    return True
-
-
-def is_nilpotent_chain(G: Group) -> bool:
-    """Nilpotency via the lower central series, computed with stabilizer chains."""
-    current: Sequence[Permutation] = G.generators
-    order = G.order
-    while order > 1:
-        seeds = [a.commutator(b) for a in current for b in G.generators]
-        current = normal_closure_gens(G, seeds)
-        new_order = StabilizerChain(G.degree, current).order()
         if new_order == order:
             return False
         order = new_order

@@ -9,8 +9,9 @@ subnormal" membership tests.
 Intersections over an empty family return the ambient group.  Subnormality
 steps compare the class residual of the chain top against the core of the
 maximal subgroup (the quotient lies in the class iff the residual lies inside
-the kernel), which keeps the recursion at bitmask level; the test suite
-cross-checks residuals against the quotient-based definition.
+the kernel), which keeps the recursion at bitmask level.  Class membership
+and residuals are read from ``formations.formation_member`` and
+``formations.residual_mask``; this module decides no class itself.
 """
 
 from __future__ import annotations
@@ -19,16 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NotASubgroup
-from .formations import (
-    NIL,
-    FormationExpr,
-    Nil,
-    NilPow,
-    Sol,
-    Supersoluble,
-    formation_member,
-    residual_mask,
-)
+from .formations import FormationExpr, formation_member, residual_mask
 from .groups import Group
 from .lattice import (
     SubgroupLattice,
@@ -93,83 +85,6 @@ def f_maximal_functor(F: FormationExpr) -> SubgroupFunctor:
 # ---------------------------------------------------------------------------
 
 
-def _nil_residual_idx(lat: SubgroupLattice, i: int) -> int:
-    """Index of the lower-central-limit subgroup of refs[i] (cached)."""
-    table = lat.memo.setdefault("nil-residual", {})
-    cached = table.get(i)
-    if cached is None:
-        mask = residual_mask(NIL, lat.refs[i])
-        cached = lat.index_of_mask[mask]
-        table[i] = cached
-    return cached
-
-
-def _fitting_length_idx(lat: SubgroupLattice, i: int) -> int | None:
-    """Fitting length of refs[i]; None when the subgroup is not soluble.
-
-    Computed through iterated lower-central limits: the length is the number
-    of iterations until the limit is trivial (cached per subgroup, shared by
-    the soluble and bounded-length membership tests).
-    """
-    table = lat.memo.setdefault("fitting-length", {})
-    if i in table:
-        return table[i]
-    chain = []
-    current = i
-    while current not in table:
-        if lat.refs[current].is_trivial:
-            table[current] = 0
-            break
-        nxt = _nil_residual_idx(lat, current)
-        if nxt == current:
-            table[current] = None  # perfect nontrivial limit: not soluble
-            break
-        chain.append(current)
-        current = nxt
-    for j in reversed(chain):
-        below = table[_nil_residual_idx(lat, j)]
-        table[j] = None if below is None else below + 1
-    return table[i]
-
-
-def _member_idx(lat: SubgroupLattice, F: FormationExpr, i: int) -> bool:
-    """Class membership for lattice members, with index-level fast paths.
-
-    The fast paths (Fitting-length table for nilpotent / soluble / bounded
-    length, prime-index maximal subgroups for supersoluble) are checked
-    against the definitional tests by the test suite.
-    """
-    key = ("member", F)
-    table = lat.memo.get(key)
-    if table is None:
-        table = {}
-        lat.memo[key] = table
-    cached = table.get(i)
-    if cached is None:
-        if isinstance(F, Nil):
-            length = _fitting_length_idx(lat, i)
-            cached = length is not None and length <= 1
-        elif isinstance(F, NilPow):
-            length = _fitting_length_idx(lat, i)
-            cached = length is not None and length <= F.r
-        elif isinstance(F, Sol):
-            cached = _fitting_length_idx(lat, i) is not None
-        elif isinstance(F, Supersoluble):
-            # prime-index criterion: supersoluble iff every maximal subgroup
-            # has prime index
-            order = lat.refs[i].order
-            cached = all(
-                len(prime_factors(order // lat.refs[j].order)) == 1
-                and prime_factors(order // lat.refs[j].order)[0]
-                == order // lat.refs[j].order
-                for j in lat.maximal_subgroup_idxs(i)
-            )
-        else:
-            cached = formation_member(F, lat.refs[i])
-        table[i] = cached
-    return cached
-
-
 def f_maximal_subgroups(F: FormationExpr, X: Group | SubgroupRef) -> list[SubgroupRef]:
     """Members of the class that no larger member of the class contains."""
     X = as_ref(X)
@@ -178,7 +93,7 @@ def f_maximal_subgroups(F: FormationExpr, X: Group | SubgroupRef) -> list[Subgro
     inside = lat.sub_rows[xi]
     member_bits = 0
     for i in bits(inside):
-        if _member_idx(lat, F, i):
+        if formation_member(F, lat.refs[i]):
             member_bits |= 1 << i
     out = []
     for i in bits(member_bits):
@@ -205,7 +120,9 @@ def _class_core_intersection(
     The result must commute with conjugation, result(H^x) = result(H)^x (as
     N_X(M^x) = N_X(M)^x does), so over the X-class of H the results
     intersect to the X-core of result(H): one member of each class is
-    decided and the rest of its class is skipped.
+    decided and the rest of its class is skipped.  The running intersection
+    is an intersection of X-cores, so it is normal in X; when it already lies
+    in result(H) it lies in that core too, and the orbit is not walked.
     """
     mask = X.mask
     done: set[int] = set()
@@ -213,7 +130,10 @@ def _class_core_intersection(
         if H.mask in done:
             continue
         done.update(conjugacy_orbit(X, H.mask))
-        for m in conjugacy_orbit(X, result_mask(H)):
+        result = result_mask(H)
+        if mask & ~result == 0:
+            continue
+        for m in conjugacy_orbit(X, result):
             mask &= m
     return mask
 
@@ -247,57 +167,23 @@ def _core_mask(lat: SubgroupLattice, t_idx: int, m_idx: int) -> int:
     return cached
 
 
-def _residual_idx(lat: SubgroupLattice, F: FormationExpr, i: int) -> int:
-    key = ("residual", F)
-    table = lat.memo.get(key)
-    if table is None:
-        table = {}
-        lat.memo[key] = table
-    cached = table.get(i)
-    if cached is None:
-        if _member_idx(lat, F, i):
-            cached = 1 << lat.ambient.identity_idx
-        elif isinstance(F, Nil):
-            cached = lat.refs[_nil_residual_idx(lat, i)].mask
-        elif isinstance(F, NilPow):
-            j = i
-            for _ in range(F.r):
-                j = _nil_residual_idx(lat, j)
-            cached = lat.refs[j].mask
-        else:
-            cached = residual_mask(F, lat.refs[i])
-        table[i] = cached
-    return cached
-
-
 def _step_ok(lat: SubgroupLattice, F: FormationExpr, t_idx: int, m_idx: int) -> bool:
     """Whether refs[t_idx] / Core(refs[m_idx]) lies in the class."""
-    return _residual_idx(lat, F, t_idx) & ~_core_mask(lat, t_idx, m_idx) == 0
+    return residual_mask(F, lat.refs[t_idx]) & ~_core_mask(lat, t_idx, m_idx) == 0
 
 
-def is_f_subnormal(
-    F: FormationExpr,
-    H: SubgroupRef,
-    X: Group | SubgroupRef,
-    maximal_chains: bool = True,
-) -> bool:
-    """Whether H is joined to X by a chain whose step quotients-by-core are members.
-
-    With ``maximal_chains`` (the default) each chain step must be a maximal
-    subgroup of the next; with ``maximal_chains=False`` any proper step is
-    allowed (diagnostic variant).
-    """
+def is_f_subnormal(F: FormationExpr, H: SubgroupRef, X: Group | SubgroupRef) -> bool:
+    """Whether H is joined to X by a chain of maximal subgroups whose step
+    quotients-by-core are members."""
     X = as_ref(X)
     if H.ambient is not X.ambient or not X.contains(H):
         raise NotASubgroup("chain bottom is not a subgroup of the chain top")
     lat = all_subgroups(X.ambient)
-    return _subnormal(lat, F, lat.index_of(H), lat.index_of(X), maximal_chains)
+    return _subnormal(lat, F, lat.index_of(H), lat.index_of(X))
 
 
-def _subnormal(
-    lat: SubgroupLattice, F: FormationExpr, h_idx: int, t_idx: int, maximal_chains: bool
-) -> bool:
-    key = ("subnormal", F, maximal_chains)
+def _subnormal(lat: SubgroupLattice, F: FormationExpr, h_idx: int, t_idx: int) -> bool:
+    key = ("subnormal", F)
     table = lat.memo.get(key)
     if table is None:
         table = {}
@@ -307,22 +193,16 @@ def _subnormal(
         return cached
     if h_idx == t_idx:
         result = True
-    elif _member_idx(lat, F, t_idx):
+    elif formation_member(F, lat.refs[t_idx]):
         # hereditary catalog: every subgroup of a member is subnormal in it
         result = True
     else:
         result = False
         h_sup = lat.sup_rows[h_idx]
-        if maximal_chains:
-            steps = lat.maximal_subgroup_idxs(t_idx)
-        else:
-            steps = list(bits(lat.sub_rows[t_idx] & ~(1 << t_idx)))
-        for m_idx in steps:
+        for m_idx in lat.maximal_subgroup_idxs(t_idx):
             if not (h_sup >> m_idx) & 1:
                 continue
-            if _step_ok(lat, F, t_idx, m_idx) and _subnormal(
-                lat, F, h_idx, m_idx, maximal_chains
-            ):
+            if _step_ok(lat, F, t_idx, m_idx) and _subnormal(lat, F, h_idx, m_idx):
                 result = True
                 break
     table[(h_idx, t_idx)] = result
@@ -354,7 +234,7 @@ def f_subnormalizers(
     inside = lat.sub_rows[xi]
     candidate_bits = 0
     for t in bits(lat.sup_rows[hi] & inside):
-        if _subnormal(lat, F, hi, t, True):
+        if _subnormal(lat, F, hi, t):
             candidate_bits |= 1 << t
     carriers = []
     for t in bits(candidate_bits):
@@ -402,5 +282,5 @@ def all_sigma_f_subnormal(F: FormationExpr, X: Group | SubgroupRef, mode: str) -
     lat = all_subgroups(X.ambient)
     xi = lat.index_of(X)
     return all(
-        _subnormal(lat, F, lat.index_of(H), xi, True) for H in sigma(X)
+        _subnormal(lat, F, lat.index_of(H), xi) for H in sigma(X)
     )

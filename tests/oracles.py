@@ -10,8 +10,9 @@ end of this file (the Sylow subgroup grown through normalizers, cyclic
 primary subgroups by one closure per element, Sylow nilpotency, cross
 membership through O_pi, the permutation-built oracle product, the
 per-member subnormalizer and normalizer intersections, O^pi as an
-intersection of normal subgroups), each the library's algorithm before its
-exact shortcut or before the lattice became its source.
+intersection of normal subgroups, supersolubility by chief factors,
+subnormality along any chain of step quotients), each the library's
+algorithm before its exact shortcut or before the lattice became its source.
 """
 
 from __future__ import annotations
@@ -421,3 +422,42 @@ def o_pi_up_by_normal_subgroups(X, pi):
         if pi.issuperset(prime_factors(X.order // m.bit_count())):
             mask &= m
     return mask
+
+
+def is_supersoluble_by_chief_factors(X) -> bool:
+    """Oracle for supersoluble membership (Huppert's prime-index criterion in
+    ``formations``): X is soluble and every chief factor has prime order."""
+    from flab.series import chief_factors, is_soluble
+
+    return is_soluble(X) and all(_is_prime(f.order) for f in chief_factors(X))
+
+
+def is_f_subnormal_by_any_chain(F, H, X) -> bool:
+    """Oracle for ``intersections.is_f_subnormal``: H is joined to X by a chain
+    of proper (not necessarily maximal) subgroups T > M, each with T/Core_T(M)
+    in the class, decided on the step quotient itself."""
+    from flab.formations import formation_member
+    from flab.groups import quotient
+    from flab.lattice import all_subgroups
+    from flab.subgroups import as_ref, core, gens_for_mask, subgroup_to_group, translate_mask
+
+    X = as_ref(X)
+    refs = all_subgroups(X.ambient).refs
+    reached: dict[int, bool] = {}
+
+    def step_ok(T, M) -> bool:
+        sub = subgroup_to_group(T)
+        kernel = translate_mask(T, core(T, M).mask)
+        return formation_member(F, quotient(sub, kernel, gens_for_mask(sub, kernel)).group)
+
+    def reach(T) -> bool:
+        if T.mask == H.mask:
+            return True
+        if T.mask not in reached:
+            reached[T.mask] = any(
+                M.mask != T.mask and M.contains(H) and T.contains(M) and step_ok(T, M) and reach(M)
+                for M in refs
+            )
+        return reached[T.mask]
+
+    return reach(X)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from flab import config
+from flab.corpus import build_corpus
 from flab.errors import CapExceeded, LocalDefinitionUnavailable, SpecParseError
 from flab.formations import (
     Cross,
@@ -243,6 +244,7 @@ def test_fast_residual_agrees_with_normal_scan():
         "A5",
         "sd(C5,C4,n0->n0^2)",
         "sd(C7,C6,n0->n0^3)",
+        "A4 x A4",  # two classes of maximal subgroups of index 4, and a normal subgroup in one only
     )
     for spec in specs:
         G = make_group(spec)
@@ -257,6 +259,14 @@ def test_residual_on_subgroups():
     for ref in lat.refs:
         for F in (NIL, SUPERSOLUBLE):
             assert residual_mask(F, ref) == formation_residual(F, ref).mask
+
+
+def test_fast_residual_agrees_with_oracle_on_corpus():
+    # the lemma check reads residual_mask, so the quotient-based oracle is compared here
+    for entry in build_corpus(120):
+        G = entry.group
+        for F in (NIL, SUPERSOLUBLE, Gpi(frozenset({2, 3})), NilPow(2)):
+            assert residual_mask(F, G) == formation_residual(F, G).mask, (entry.name, format_formation(F))
 
 
 # -- local definitions ----------------------------------------------------------

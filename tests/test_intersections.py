@@ -18,6 +18,8 @@ from flab.intersections import (
 from flab.lattice import all_subgroups
 from flab.subgroups import bits, full_subgroup, normalizer
 
+from .oracles import is_f_subnormal_by_any_chain, is_nilpotent_by_sylow, is_supersoluble_by_chief_factors
+
 CROSS_235 = parse_formation("cross[{2,3}:gpi;{5}:gpi]")
 
 
@@ -122,15 +124,17 @@ def test_subnormal_in_member_group():
 
 
 def test_subnormal_chain_variant_agrees_on_corpus():
-    # diagnostic: plain chains versus maximal chains
+    # maximal chains versus any chain of proper subgroups, steps decided on the quotient
     for spec in ("S3", "S4", "Q8", "SL(2,3)", "A4", "D12", "A5"):
         G = make_group(spec)
         lat = all_subgroups(G)
         for F in (NIL, SUPERSOLUBLE):
             for H in lat.refs:
-                assert is_f_subnormal(F, H, G) == is_f_subnormal(
-                    F, H, G, maximal_chains=False
-                ), (spec, H.order, format_formation(F))
+                assert is_f_subnormal(F, H, G) == is_f_subnormal_by_any_chain(F, H, G), (
+                    spec,
+                    H.order,
+                    format_formation(F),
+                )
 
 
 def test_step_quotient_matches_definition():
@@ -300,10 +304,17 @@ def test_wf_hypercenter_lower_bound():
             assert z.mask & ~si.mask == 0, (spec, mode)
 
 
-def test_lattice_member_fast_paths_agree_with_definitions():
-    from flab.formations import NilPow, Sol, formation_member as member
-    from flab.intersections import _member_idx
+def test_lattice_member_verdicts_agree_with_oracles():
+    # formation_member on every lattice member, against rules it does not use
+    from flab.formations import NilPow, Sol
+    from flab.series import is_soluble, nilpotent_length
 
+    oracles = {
+        NIL: is_nilpotent_by_sylow,
+        SUPERSOLUBLE: is_supersoluble_by_chief_factors,
+        NilPow(2): lambda X: is_soluble(X) and nilpotent_length(X) <= 2,
+        Sol(): is_soluble,
+    }
     for spec in (
         "S4",
         "SL(2,3)",
@@ -315,10 +326,9 @@ def test_lattice_member_fast_paths_agree_with_definitions():
         "sd(E(3^2),C2,n0->n0^2,n1->n1^2)",
     ):
         G = make_group(spec)
-        lat = all_subgroups(G)
-        for F in (NIL, SUPERSOLUBLE, NilPow(2), Sol()):
-            for i, ref in enumerate(lat.refs):
-                assert _member_idx(lat, F, i) == member(F, ref), (
+        for F, oracle in oracles.items():
+            for ref in all_subgroups(G).refs:
+                assert formation_member(F, ref) == oracle(ref), (
                     spec,
                     ref.order,
                     format_formation(F),
