@@ -34,6 +34,35 @@ from .perms import Permutation
 
 
 # ---------------------------------------------------------------------------
+# Prime arithmetic
+# ---------------------------------------------------------------------------
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division; [] for n < 2."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n."""
+    q = 1
+    while n % p == 0:
+        q *= p
+        n //= p
+    return q
+
+
+# ---------------------------------------------------------------------------
 # Stabilizer chain (deterministic Schreier-Sims)
 # ---------------------------------------------------------------------------
 
@@ -389,6 +418,12 @@ class Group:
             self._build_table()
         return self._inv[i]  # type: ignore[index]
 
+    def comm(self, a: int, b: int) -> int:
+        """Index of the commutator [a, b] = a^-1 * b^-1 * a * b."""
+        table = self.table
+        inv = self._inv
+        return table[table[b][a]][table[inv[b]][inv[a]]]  # type: ignore[index]
+
     def conj(self, h: int, g: int) -> int:
         """Index of g^-1 * h * g."""
         return self.mul(self.mul(self.inv(g), h), g)
@@ -513,22 +548,6 @@ def nilpotent_residual_gens(gens: Sequence[Permutation], degree: int) -> list[Pe
 # ---------------------------------------------------------------------------
 
 
-def _prime_power_parts(n: int) -> list[int]:
-    parts = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            q = 1
-            while n % d == 0:
-                q *= d
-                n //= d
-            parts.append(q)
-        d += 1
-    if n > 1:
-        parts.append(n)
-    return parts
-
-
 def trivial_group() -> Group:
     return Group(1, [], name="1")
 
@@ -539,7 +558,7 @@ def cyclic(n: int) -> Group:
         raise ValueError("n must be positive")
     if n == 1:
         return trivial_group()
-    parts = _prime_power_parts(n)
+    parts = [p_part(n, p) for p in prime_factors(n)]
     degree = sum(parts)
     cycles = []
     offset = 0
@@ -557,7 +576,7 @@ def dihedral(order: int) -> Group:
     if n == 2:
         gens = [Permutation.from_cycles(4, [[0, 1]]), Permutation.from_cycles(4, [[2, 3]])]
         return Group(4, gens, name="D4")
-    parts = _prime_power_parts(n)
+    parts = [p_part(n, p) for p in prime_factors(n)]
     degree = sum(parts)
     rot_cycles = []
     refl = list(range(degree))
@@ -909,17 +928,6 @@ def _split_top_level(text: str, sep: str) -> list[str]:
     return parts
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _parse_word(word: str, N: Group) -> Permutation:
     word = word.strip()
     ident = N.identity()
@@ -1035,7 +1043,7 @@ def _parse_atom(text: str, cap: int) -> Group:
         degree, segments = args
         gens = [Permutation.parse(degree, seg) for seg in segments]
         return Group(degree, gens, name=text)
-    if kind == "E" and not _is_prime(args[0]):
+    if kind == "E" and prime_factors(args[0]) != [args[0]]:
         raise SpecParseError(f"{args[0]} is not prime in {text!r}")
     try:
         return _NAMED[kind](*args)

@@ -2,8 +2,9 @@
 
 Two independent centrality tests are provided: the oracle builds the
 semidirect product of the factor with the acting quotient and tests class
-membership; the local test checks membership of the acting quotient in the
-canonical local class at each relevant prime.  The hypercenter is computed by
+membership; the local test checks membership of the acting section
+G/C_G(H/K), decided in G itself, in the canonical local class at each
+relevant prime.  The hypercenter is computed by
 greedy ascent through minimal normal subgroups and then re-verified; both
 read one cached verdict per chief factor, class and method.
 """
@@ -176,10 +177,13 @@ def is_f_central_oracle(
 
 
 def is_f_central_local(F: FormationExpr, G: Group, factor: ChiefFactor) -> CentralityVerdict:
-    """Centrality via the canonical local classes: G/C in F(p) for all p | |H/K|."""
+    """Centrality via the canonical local classes: G/C in F(p) for all p | |H/K|.
+
+    The section G/C, C = C_G(H/K), is decided in G with C as the floor; no
+    quotient group is built.
+    """
     cent, acting = _factor_quotient_data(G, factor)
-    qm = quotient(G, cent.mask, cent.gen_idxs)
-    central = all(local_def_member(F, p, qm.group) for p in factor.primes())
+    central = all(local_def_member(F, p, G, cent) for p in factor.primes())
     return CentralityVerdict(factor, central, "local-definition", acting)
 
 

@@ -95,12 +95,13 @@ def f_maximal_subgroups(F: FormationExpr, X: Group | SubgroupRef) -> list[Subgro
     for i in bits(inside):
         if formation_member(F, lat.refs[i]):
             member_bits |= 1 << i
-    out = []
-    for i in bits(member_bits):
-        if lat.sup_rows[i] & inside & member_bits & ~(1 << i):
-            continue
-        out.append(lat.refs[i])
-    return out
+    return _containment_maximal(lat, member_bits)
+
+
+def _containment_maximal(lat: SubgroupLattice, chosen: int) -> list[SubgroupRef]:
+    """The containment-maximal members among the lattice bits ``chosen``
+    (all inside one subgroup X): those no other chosen member contains."""
+    return [lat.refs[i] for i in bits(chosen) if not lat.sup_rows[i] & chosen & ~(1 << i)]
 
 
 def f_maximal_intersection(F: FormationExpr, X: Group | SubgroupRef) -> SubgroupRef:
@@ -236,12 +237,7 @@ def f_subnormalizers(
     for t in bits(lat.sup_rows[hi] & inside):
         if _subnormal(lat, F, hi, t):
             candidate_bits |= 1 << t
-    carriers = []
-    for t in bits(candidate_bits):
-        if lat.sup_rows[t] & inside & candidate_bits & ~(1 << t):
-            continue
-        carriers.append(lat.refs[t])
-    return SubnormalizerSet(H, tuple(carriers))
+    return SubnormalizerSet(H, tuple(_containment_maximal(lat, candidate_bits)))
 
 
 def subnormalizer_intersection(

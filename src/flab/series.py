@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FlabError, InternalCheckFailure
-from .groups import Group, quotient
+# perfbench's tracer test reads the quotient binding of this module
+from .groups import Group, quotient  # noqa: F401
 from .subgroups import (
     SubgroupRef,
     as_ref,
@@ -19,8 +20,6 @@ from .subgroups import (
     pi_elements,
     prime_factors,
     subgroup_from_mask,
-    subgroup_to_group,
-    translate_mask,
     trivial_subgroup,
 )
 
@@ -32,19 +31,12 @@ def normal_subgroups(X: Group | SubgroupRef) -> list[SubgroupRef]:
 
 
 def minimal_normal_subgroups(X: Group | SubgroupRef) -> list[SubgroupRef]:
-    """Minimal nontrivial normal subgroups; errors on the trivial group."""
+    """Minimal nontrivial normal subgroups, sorted by (order, fingerprint); errors on the trivial group."""
     X = as_ref(X)
     if X.order == 1:
         raise FlabError("the trivial group has no minimal normal subgroups")
-    masks = normal_subgroup_masks(X)
-    trivial = 1 << X.ambient.identity_idx
-    nontrivial = [m for m in masks if m != trivial]
-    out = [
-        m
-        for m in nontrivial
-        if not any(other != m and other & ~m == 0 for other in nontrivial)
-    ]
-    return [subgroup_from_mask(X.ambient, m) for m in out]
+    G = X.ambient
+    return [subgroup_from_mask(G, m) for m in _minimal_normal_above(X, 1 << G.identity_idx)]
 
 
 @dataclass(frozen=True)
@@ -88,36 +80,37 @@ class ChiefFactor:
                     raise InternalCheckFailure("abelian chief factor is not elementary")
 
 
-def _minimal_normal_above(G: Group, floor_mask: int) -> tuple[int, ...]:
-    """Masks of the normal subgroups minimal among those strictly above the floor.
+def _minimal_normal_above(X: Group | SubgroupRef, floor_mask: int) -> tuple[int, ...]:
+    """Masks of the X-normal subgroups minimal among those strictly above the
+    X-normal floor: the minimal normal subgroups of X/floor, read in the ambient group.
 
     Sorted by (order, fingerprint): the first mask is the deterministic choice
-    of every walk up a chief series.  Cached on G per floor.
+    of every walk up a chief series.  Cached on the ambient group per
+    (X, floor).
     """
-    cached = G._minimal_above.get(floor_mask)
+    X = as_ref(X)
+    key = (X.mask, floor_mask)
+    cached = X.ambient._minimal_above.get(key)
     if cached is not None:
         return cached
-    masks = [m for m in normal_subgroup_masks(full_subgroup(G)) if floor_mask & ~m == 0 and m != floor_mask]
-    minimal = [
-        m
-        for m in masks
-        if not any(other != m and floor_mask & ~other == 0 and other & ~m == 0 for other in masks)
-    ]
-    cached = G._minimal_above[floor_mask] = tuple(
+    masks = [m for m in normal_subgroup_masks(X) if floor_mask & ~m == 0 and m != floor_mask]
+    minimal = [m for m in masks if not any(other != m and other & ~m == 0 for other in masks)]
+    cached = X.ambient._minimal_above[key] = tuple(
         sorted(minimal, key=lambda m: (m.bit_count(), tuple(bits(m))))
     )
     return cached
 
 
-def _chief_masks_to(G: Group, top_mask: int) -> list[int]:
-    """Masks of a chief series of G from 1 up to the normal subgroup ``top_mask``.
+def _chief_masks_to(X: Group | SubgroupRef, top_mask: int) -> list[int]:
+    """Masks of a chief series of X from 1 up to the X-normal subgroup ``top_mask``.
 
     Each step takes the first minimal normal subgroup above the current term
     that lies inside the top.
     """
-    series = [1 << G.identity_idx]
+    X = as_ref(X)
+    series = [1 << X.ambient.identity_idx]
     while series[-1] != top_mask:
-        inside = [m for m in _minimal_normal_above(G, series[-1]) if m & ~top_mask == 0]
+        inside = [m for m in _minimal_normal_above(X, series[-1]) if m & ~top_mask == 0]
         if not inside:
             raise InternalCheckFailure("no chief series passes through the given subgroup")
         series.append(inside[0])
@@ -128,14 +121,11 @@ def chief_series(X: Group | SubgroupRef) -> list[SubgroupRef]:
     """A chief series, built bottom-up with a deterministic choice rule.
 
     At each step the minimal normal subgroup of the quotient with the smallest
-    order (ties broken by least fingerprint) is chosen.
+    order (ties broken by least fingerprint) is chosen.  For a proper
+    subgroup X the terms are X-normal subgroups, read in the ambient group.
     """
     X = as_ref(X)
-    G = X.ambient
-    if not X.is_full:
-        inner = chief_series(subgroup_to_group(X))
-        return [subgroup_from_mask(G, translate_mask(X, ref.mask, to_ambient=True)) for ref in inner]
-    return [subgroup_from_mask(G, m) for m in _chief_masks_to(G, X.mask)]
+    return [subgroup_from_mask(X.ambient, m) for m in _chief_masks_to(X, X.mask)]
 
 
 def chief_factors(X: Group | SubgroupRef) -> list[ChiefFactor]:
@@ -156,11 +146,7 @@ def upper_central_series(X: Group | SubgroupRef) -> list[SubgroupRef]:
         z = series[-1].mask
         nxt = 0
         for g in bits(X.mask):
-            ginv = G.inv(g)
-            if all(
-                (z >> G.mul(G.mul(ginv, G.inv(s)), G.mul(g, s))) & 1
-                for s in X.gen_idxs
-            ):
+            if all((z >> G.comm(g, s)) & 1 for s in X.gen_idxs):
                 nxt |= 1 << g
         if nxt == z:
             return series
@@ -170,12 +156,8 @@ def upper_central_series(X: Group | SubgroupRef) -> list[SubgroupRef]:
 def derived_subgroup(X: SubgroupRef) -> SubgroupRef:
     """[X, X] as the normal closure in X of the generator commutators."""
     G = X.ambient
-    seeds = set()
     gens = X.gen_idxs
-    for a_pos, a in enumerate(gens):
-        ainv = G.inv(a)
-        for b in gens[a_pos + 1:]:
-            seeds.add(G.mul(G.mul(ainv, G.inv(b)), G.mul(a, b)))
+    seeds = {G.comm(a, b) for a_pos, a in enumerate(gens) for b in gens[a_pos + 1:]}
     seeds.discard(G.identity_idx)
     mask = normal_closure_mask(X, sorted(seeds))
     return subgroup_from_mask(G, mask)
@@ -208,18 +190,25 @@ def fitting_subgroup(X: Group | SubgroupRef) -> SubgroupRef:
 
 
 def nilpotent_length(X: Group | SubgroupRef) -> int:
-    """Length of the Fitting series; requires a soluble group."""
+    """Length of the Fitting series; requires a soluble group.
+
+    The series is walked by floors in X: the term above a floor is the
+    preimage of F(X/floor), the smallest X-normal subgroup containing the
+    preimages of the O_p(X/floor).
+    """
     X = as_ref(X)
     if not is_soluble(X):
         raise FlabError("nilpotent length is defined for soluble groups only")
+    normals = normal_subgroup_masks(X)
+    floor = trivial_subgroup(X.ambient)
     length = 0
-    current = subgroup_to_group(X) if not X.is_full else X.ambient
-    while current.order > 1:
-        fit = fitting_subgroup(current)
-        if fit.is_trivial:  # pragma: no cover - impossible for soluble groups
+    while floor.mask != X.mask:
+        parts = 0
+        for p in prime_factors(X.order // floor.order):
+            parts |= o_pi(X, [p], floor).mask
+        if parts == floor.mask:  # pragma: no cover - impossible for soluble groups
             raise InternalCheckFailure("trivial Fitting subgroup in a soluble group")
-        qm = quotient(current, fit.mask, fit.gen_idxs)
-        current = qm.group
+        floor = subgroup_from_mask(X.ambient, next(m for m in normals if parts & ~m == 0))
         length += 1
     return length
 

@@ -11,8 +11,12 @@ primary subgroups by one closure per element, Sylow nilpotency, cross
 membership through O_pi, the permutation-built oracle product, the
 per-member subnormalizer and normalizer intersections, O^pi as an
 intersection of normal subgroups, supersolubility by chief factors,
-subnormality along any chain of step quotients), each the library's
-algorithm before its exact shortcut or before the lattice became its source.
+subnormality along any chain of step quotients, O_pi as the join of the
+normal pi-subgroups, and the section decisions made on quotient or subgroup
+groups: the local class test, O_{p',p}, the Fitting length and the chief
+series of a subgroup), each the library's algorithm before its exact
+shortcut, before the lattice became its source, or before it read sections
+as masks in the ambient group.
 """
 
 from __future__ import annotations
@@ -461,3 +465,89 @@ def is_f_subnormal_by_any_chain(F, H, X) -> bool:
         return reached[T.mask]
 
     return reach(X)
+
+
+def o_pi_by_join(X, pi) -> int:
+    """Oracle for ``subgroups.o_pi`` without a floor: the closure of the join
+    of X's normal pi-subgroups; returns a mask."""
+    from flab.subgroups import as_ref, bits, closure_mask, normal_subgroup_masks, prime_factors
+
+    X = as_ref(X)
+    pi = frozenset(pi)
+    joined = 0
+    for m in normal_subgroup_masks(X):
+        if pi.issuperset(prime_factors(m.bit_count())):
+            joined |= m
+    return closure_mask(X.ambient, list(bits(joined)))
+
+
+def _subgroup_group(X):
+    """X as a group in its own right, and the map of its masks back to the ambient indexing."""
+    from flab.subgroups import as_ref, bits, subgroup_to_group
+
+    X = as_ref(X)
+    sub = subgroup_to_group(X)
+    if sub is X.ambient:
+        return sub, lambda mask: mask
+    return sub, lambda mask: sum(1 << sub.ambient_idxs[i] for i in bits(mask))
+
+
+def _quotient_by(G, mask):
+    from flab.groups import quotient
+    from flab.subgroups import gens_for_mask
+
+    return quotient(G, mask, gens_for_mask(G, mask))
+
+
+def local_def_member_by_quotient(F, p, X) -> bool:
+    """Oracle for ``formations.local_def_member``: for U, X/O_p(X) is built as
+    a quotient group, and its element orders and generators are read; N and
+    cross classes read the primes of |X|."""
+    from flab.formations import Cross, Nil, cross_block_primes
+    from flab.subgroups import as_ref, prime_factors
+
+    X = as_ref(X)
+    if isinstance(F, (Nil, Cross)):
+        return set(prime_factors(X.order)) <= cross_block_primes(F, p)
+    sub, _ = _subgroup_group(X)
+    quo = _quotient_by(sub, o_pi_by_join(sub, [p])).group
+    if any((p - 1) % quo.elt_order(a) for a in range(quo.order)):
+        return False
+    gens = quo.gen_idxs()
+    return all(quo.mul(a, b) == quo.mul(b, a) for a in gens for b in gens)
+
+
+def o_pp_by_quotient(X, p) -> int:
+    """Oracle for ``subgroups.o_pp``: O_p of the quotient group of X (as a
+    group in its own right) by O_{p'}, pulled back; returns an ambient mask."""
+    from flab.subgroups import prime_factors
+
+    sub, to_ambient = _subgroup_group(X)
+    qm = _quotient_by(sub, o_pi_by_join(sub, [q for q in prime_factors(sub.order) if q != p]))
+    return to_ambient(qm.preimage_mask(o_pi_by_join(qm.group, [p])))
+
+
+def nilpotent_length_by_quotients(X) -> int:
+    """Oracle for ``series.nilpotent_length``: the number of Fitting quotients
+    taken, each the quotient group by the join of the O_p, until the unit
+    group; X must be soluble."""
+    from flab.subgroups import bits, closure_mask, prime_factors
+
+    current, _ = _subgroup_group(X)
+    length = 0
+    while current.order > 1:
+        fit = 0
+        for p in prime_factors(current.order):
+            fit |= o_pi_by_join(current, [p])
+        current = _quotient_by(current, closure_mask(current, list(bits(fit)))).group
+        length += 1
+    return length
+
+
+def chief_series_by_subgroup_group(X) -> list[int]:
+    """Oracle for ``series.chief_series`` of a proper subgroup: the chief
+    series of X as a group in its own right, mapped back to ambient masks."""
+    from flab.series import chief_series
+
+    sub, to_ambient = _subgroup_group(X)
+    return [to_ambient(ref.mask) for ref in chief_series(sub)]

@@ -29,7 +29,7 @@ from flab.lattice import all_subgroups
 from flab.series import normal_subgroups
 from flab.subgroups import full_subgroup, subgroup_from_mask
 
-from .oracles import is_nilpotent_bf, is_supersoluble_bf, elements_of
+from .oracles import is_nilpotent_bf, is_supersoluble_bf, elements_of, local_def_member_by_quotient
 
 
 CROSS_235 = parse_formation("cross[{2,3}:gpi;{5}:gpi]")
@@ -328,6 +328,19 @@ def test_local_full():
                 op = o_pi(G, [p])
                 qm = quotient(G, op.mask, op.gen_idxs)
                 assert local_def_member(F, p, G) == local_def_member(F, p, qm.group)
+
+
+def test_local_def_member_agrees_with_quotient_oracle_on_subgroups():
+    from flab.subgroups import prime_factors
+
+    for entry in build_corpus(60):
+        G = entry.group
+        primes = prime_factors(G.order)
+        for X in all_subgroups(G).refs:
+            for F in (NIL, SUPERSOLUBLE, CROSS_235):
+                for p in primes:
+                    expected = local_def_member_by_quotient(F, p, X)
+                    assert local_def_member(F, p, X) == expected, (entry.name, X.order, format_formation(F), p)
 
 
 def test_local_unavailable():

@@ -99,7 +99,7 @@ def test_order_cap_refuses_before_building(spec, monkeypatch):
         raise AssertionError("group built or primality tested before the cap check")
 
     monkeypatch.setattr(groups_mod.Group, "__init__", refuse)
-    monkeypatch.setattr(groups_mod, "_is_prime", refuse)
+    monkeypatch.setattr(groups_mod, "prime_factors", refuse)
     start = time.perf_counter()
     with pytest.raises(CapExceeded):
         make_group(spec)

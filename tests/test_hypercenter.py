@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from flab.corpus import build_corpus
 from flab.errors import OracleCapExceeded
 from flab.formations import (
     NIL,
@@ -9,9 +10,10 @@ from flab.formations import (
     Gpi,
     NilPow,
     format_formation,
+    local_def_member,
     parse_formation,
 )
-from flab.groups import make_group
+from flab.groups import make_group, quotient
 from flab.hypercenter import (
     build_factor_action_product,
     hypercenter,
@@ -20,7 +22,9 @@ from flab.hypercenter import (
     is_f_central_oracle,
 )
 from flab.series import ChiefFactor, chief_factors, upper_central_series
-from flab.subgroups import subgroup_from_mask, trivial_subgroup
+from flab.subgroups import centralizer_of_factor, prime_factors, subgroup_from_mask, trivial_subgroup
+
+from .oracles import local_def_member_by_quotient
 
 CROSS_235 = parse_formation("cross[{2,3}:gpi;{5}:gpi]")
 
@@ -121,6 +125,35 @@ def test_hypercenter_oracle_and_local_paths_agree():
             a = hypercenter(F, G, method="local")
             b = hypercenter(F, G, method="oracle")
             assert a.mask == b.mask
+
+
+def test_hypercenter_both_methods_agree_on_corpus():
+    # includes A5 and S5, whose oracle products lie above the element cap
+    for entry in build_corpus(120):
+        for F in (NIL, SUPERSOLUBLE, CROSS_235):
+            assert hypercenter(F, entry.group, method="both").mask == hypercenter(F, entry.group).mask
+
+
+def test_local_hypercenter_builds_no_quotient():
+    for spec in ("S4", "SL(2,3)", "D12", "A5", "S5", "sd(C5,C4,n0->n0^2)", "C2 x S4"):
+        G = make_group(spec)
+        for F in (NIL, SUPERSOLUBLE, CROSS_235):
+            hypercenter(F, G, method="local")
+        assert not G._quotients, spec
+
+
+def test_local_section_test_agrees_with_quotient_oracle_on_corpus():
+    # G/C_G(H/K) decided in G with the centralizer as floor, against the quotient group
+    for entry in build_corpus(120):
+        G = entry.group
+        primes = prime_factors(G.order)
+        for f in chief_factors(G):
+            cent = centralizer_of_factor(G, f.above, f.below)
+            acting = quotient(G, cent.mask, cent.gen_idxs).group
+            for F in (NIL, SUPERSOLUBLE, CROSS_235):
+                for p in primes:
+                    expected = local_def_member_by_quotient(F, p, acting)
+                    assert local_def_member(F, p, G, cent) == expected, (entry.name, f.order, format_formation(F), p)
 
 
 def test_hypercenter_greedy_choice_independence():

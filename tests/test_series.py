@@ -15,7 +15,10 @@ from flab.series import (
     normal_subgroups,
     upper_central_series,
 )
-from flab.subgroups import conjugacy_orbit
+from flab.corpus import build_corpus
+from flab.subgroups import bits, conjugacy_orbit
+
+from .oracles import chief_series_by_subgroup_group, nilpotent_length_by_quotients
 
 
 def test_normal_subgroups_s4():
@@ -50,6 +53,14 @@ def test_a5_is_simple():
 
 def test_minimal_normal_subgroups():
     assert [n.order for n in minimal_normal_subgroups(make_group("S4"))] == [4]
+    # sorted by (order, fingerprint); the first is the chief series' first step
+    for spec in ("C2 x C6", "E(3^2)", "A4 x C3"):
+        G = make_group(spec)
+        minimal = [ref.mask for ref in minimal_normal_subgroups(G)]
+        nontrivial = [ref.mask for ref in normal_subgroups(G) if ref.order > 1]
+        expected = [m for m in nontrivial if not any(o != m and o & ~m == 0 for o in nontrivial)]
+        assert minimal == sorted(expected, key=lambda m: (m.bit_count(), tuple(bits(m))))
+        assert chief_series(G)[1].mask == minimal[0]
     v4 = make_group("E(2^2)")
     assert [n.order for n in minimal_normal_subgroups(v4)] == [2, 2, 2]
     with pytest.raises(FlabError):
@@ -145,6 +156,16 @@ def test_nilpotent_length():
     assert nilpotent_length(make_group("C1")) == 0
     with pytest.raises(FlabError):
         nilpotent_length(make_group("A5"))
+
+
+def test_subgroup_sections_agree_with_subgroup_group_oracles():
+    # a proper subgroup's chief series and Fitting length are read in the
+    # ambient group; the oracles build X and its quotients as groups
+    for entry in build_corpus(60):
+        for X in all_subgroups(entry.group).refs:
+            assert [ref.mask for ref in chief_series(X)] == chief_series_by_subgroup_group(X), entry.name
+            if is_soluble(X):
+                assert nilpotent_length(X) == nilpotent_length_by_quotients(X), (entry.name, X.order)
 
 
 def test_fitting_subgroup():

@@ -29,7 +29,9 @@ from .oracles import (
     core_bf,
     elements_of,
     normalizer_bf,
+    o_pi_by_join,
     o_pi_up_by_normal_subgroups,
+    o_pp_by_quotient,
 )
 
 
@@ -212,6 +214,18 @@ def test_o_pp_on_subgroup_ref():
     assert s4_ref.order == 24
     assert o_pp(s4_ref, 3).order == 12
     assert o_pp(s4_ref, 2).order == 4
+
+
+def test_o_pi_and_o_pp_agree_with_quotient_oracles():
+    # O_pi is the largest normal pi-subgroup; O_{p',p} is O_p over the floor O_{p'}
+    from flab.corpus import build_corpus
+
+    for entry in build_corpus(60):
+        G = entry.group
+        for X in all_subgroups(G).refs:
+            for p in prime_factors(G.order):
+                assert o_pi(X, [p]).mask == o_pi_by_join(X, [p]), (entry.name, X.order, p)
+                assert o_pp(X, p).mask == o_pp_by_quotient(X, p), (entry.name, X.order, p)
 
 
 def test_orbit_stabilizer_invariant(s4):
