@@ -106,7 +106,6 @@ from .intersections import (
     SubnormalizerSet,
     abnormal_maximal_intersection,
     all_sigma_f_subnormal,
-    f_maximal_functor,
     f_maximal_intersection,
     f_maximal_normalizer_intersection,
     f_maximal_subgroups,

@@ -154,6 +154,20 @@ def _cmd_lattice(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a reader that closes stdout early ends the run
+    with status 141 (128 + SIGPIPE) and nothing on stderr."""
+    try:
+        status = _run(argv)
+        sys.stdout.flush()  # so that a closed pipe is seen here, not at exit
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit; send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
+    return status
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import prod
-from typing import Any, Callable, Union
+from typing import Any, Callable, Sequence, Union
 
 from . import config
 from .errors import (
@@ -21,22 +21,17 @@ from .errors import (
     LocalDefinitionUnavailable,
     SpecParseError,
 )
-from .groups import (
-    Group,
-    StabilizerChain,
-    is_soluble_chain,
-    nilpotent_residual_gens,
-    quotient,
-)
+from .groups import Group, commutator_gens, quotient
 from .lattice import maximal_subgroups
+from .perms import Permutation
 from .series import derived_series, is_nilpotent, is_soluble
 from .subgroups import (
     SubgroupRef,
     as_ref,
     bits,
     closure_mask,
+    commutator_subgroup,
     gens_for_mask,
-    normal_closure_mask,
     normal_subgroup_masks,
     o_pi,
     o_pi_up,
@@ -263,22 +258,24 @@ def _memoised(kind: str, F: FormationExpr, X: SubgroupRef, decide: Callable) -> 
 
 
 def _member_large_group(F: FormationExpr, G: Group) -> bool:
-    """Membership without element enumeration (chain-based), where possible."""
+    """Membership without element enumeration (chain-based), where possible.
+
+    Solubility and ``N^r`` are read from :func:`_chain_series_end`; ``U`` and
+    cross classes are decided only when G is insoluble and a non-member.
+    """
     if isinstance(F, Gpi):
         return all(p in F.primes for p in prime_factors(G.order))
     if isinstance(F, SolPi):
-        return all(p in F.primes for p in prime_factors(G.order)) and is_soluble_chain(G)
+        return all(p in F.primes for p in prime_factors(G.order)) and _soluble_by_chain(G)
     if isinstance(F, Sol):
-        return is_soluble_chain(G)
+        return _soluble_by_chain(G)
     if isinstance(F, (Nil, NilPow)):
         gens = list(G.generators)
         for _ in range(F.r if isinstance(F, NilPow) else 1):
-            gens = nilpotent_residual_gens(gens, G.degree)
-            if not gens:
-                return True
-        return StabilizerChain(G.degree, gens).order() == 1
+            gens = _chain_series_end(gens, G.degree, derived=False)
+        return not gens
     if isinstance(F, Supersoluble):
-        if not is_soluble_chain(G):
+        if not _soluble_by_chain(G):
             return False
         raise CapExceeded(
             f"supersolubility test needs element enumeration; order {G.order}"
@@ -286,10 +283,32 @@ def _member_large_group(F: FormationExpr, G: Group) -> bool:
     if isinstance(F, Cross):
         relevant = partition_blocks_for(F, prime_factors(G.order))
         if all(_burnside_small(primes) for primes, _ in relevant):
-            if not is_soluble_chain(G):
+            if not _soluble_by_chain(G):
                 return False
         raise CapExceeded(f"cross membership needs element enumeration; order {G.order}")
     raise TypeError(f"not a formation expression: {F!r}")
+
+
+def _soluble_by_chain(G: Group) -> bool:
+    return not _chain_series_end(G.generators, G.degree, derived=True)
+
+
+def _chain_series_end(gens: Sequence[Permutation], degree: int, derived: bool) -> list[Permutation]:
+    """Generators of the last term of the derived series of <gens>, or of its
+    lower central series when ``derived`` is false, from stabilizer chains.
+
+    Each term is ``commutator_gens`` of the one before with itself (derived)
+    or with the whole group (lower central); the walk stops at the first term
+    whose order equals that of the term before.  The first term is always
+    taken, so a perfect group costs one more step and no chain of <gens> is
+    built.  The list is empty exactly when the last term is trivial.
+    """
+    current, order = list(gens), None
+    while True:
+        nxt, nxt_order = commutator_gens(current, current if derived else gens, degree)
+        if nxt_order == order:
+            return current
+        current, order = nxt, nxt_order
 
 
 def _member_ref(F: FormationExpr, X: SubgroupRef) -> bool:
@@ -409,20 +428,14 @@ def _iterated_nil_residual(X: SubgroupRef, r: int) -> int:
 
 
 def _nil_residual(X: SubgroupRef) -> int:
-    """Mask of the lower-central-series limit of X, at index level."""
-    G = X.ambient
-    sub_gens = X.gen_idxs
-    current = sub_gens
-    prev_order = X.order
+    """Mask of the lower-central-series limit of X: [X, X], [X, X, X], ...
+    down to the stable term."""
+    current = X
     while True:
-        comms = {G.comm(a, b) for a in current for b in sub_gens}
-        comms.discard(G.identity_idx)
-        ncl = normal_closure_mask(X, sorted(comms))
-        size = ncl.bit_count()
-        if size == prev_order:
-            return ncl
-        prev_order = size
-        current = gens_for_mask(G, ncl)
+        nxt = commutator_subgroup(current, X)
+        if nxt.mask == current.mask:
+            return current.mask
+        current = nxt
 
 
 def _supersoluble_residual(X: SubgroupRef) -> int:

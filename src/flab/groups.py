@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import config
 from .errors import (
@@ -60,6 +60,14 @@ def p_part(n: int, p: int) -> int:
         q *= p
         n //= p
     return q
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Iterate set bit positions in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -483,64 +491,36 @@ class Group:
 
 
 # ---------------------------------------------------------------------------
-# Chain-level normal closures (no element enumeration required)
+# Chain-level commutator subgroups (no element enumeration required)
 # ---------------------------------------------------------------------------
 
 
-def normal_closure_gens(G: Group, seeds: Sequence[Permutation]) -> list[Permutation]:
-    """Generators of the normal closure of <seeds> in G, via sifting."""
+def commutator_gens(
+    a_gens: Sequence[Permutation], b_gens: Sequence[Permutation], degree: int
+) -> tuple[list[Permutation], int]:
+    """Generators and order of [A, B] for A = <a_gens> inside B = <b_gens>.
+
+    [A, B] is the normal closure in <A, B> = B of the commutators of the two
+    generator sets (Robinson, 5.1.7), grown by sifting into a stabilizer
+    chain: each commutator or conjugate that enlarges the chain is kept and
+    conjugated in turn by every generator of B.
+    """
+    chain = StabilizerChain(degree)
     gens: list[Permutation] = []
-    chain = StabilizerChain(G.degree)
-    queue: list[Permutation] = []
-    for s in seeds:
-        if chain.extend(s):
-            gens.append(s)
-            queue.append(s)
-    while queue:
-        s = queue.pop()
-        for g in G.generators:
+    for a in a_gens:
+        for b in b_gens:
+            c = a.commutator(b)
+            if chain.extend(c):
+                gens.append(c)
+    pending = list(gens)
+    while pending:
+        s = pending.pop()
+        for g in b_gens:
             c = s.conjugate(g)
             if chain.extend(c):
                 gens.append(c)
-                queue.append(c)
-    return gens
-
-
-def derived_subgroup_gens(gens: Sequence[Permutation], degree: int) -> list[Permutation]:
-    """Generators of the derived subgroup of <gens> (normal closure of commutators)."""
-    sub = Group(degree, gens)
-    seeds = []
-    for i, a in enumerate(sub.generators):
-        for b in sub.generators[i + 1:]:
-            seeds.append(a.commutator(b))
-    return normal_closure_gens(sub, seeds)
-
-
-def is_soluble_chain(G: Group) -> bool:
-    """Solubility via the derived series, computed with stabilizer chains."""
-    gens: Sequence[Permutation] = G.generators
-    order = G.order
-    while order > 1:
-        gens = derived_subgroup_gens(gens, G.degree)
-        new_order = StabilizerChain(G.degree, gens).order()
-        if new_order == order:
-            return False
-        order = new_order
-    return True
-
-
-def nilpotent_residual_gens(gens: Sequence[Permutation], degree: int) -> list[Permutation]:
-    """Generators of the lower-central-series limit of <gens>."""
-    G = Group(degree, gens)
-    current: Sequence[Permutation] = G.generators
-    order = G.order
-    while True:
-        seeds = [a.commutator(b) for a in current for b in G.generators]
-        current = normal_closure_gens(G, seeds)
-        new_order = StabilizerChain(G.degree, current).order()
-        if new_order == order:
-            return list(current)
-        order = new_order
+                pending.append(c)
+    return gens, chain.order()
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +760,27 @@ def semidirect_product(
 # ---------------------------------------------------------------------------
 
 
+def right_cosets(G: Group, within_mask: int, sub_mask: int) -> tuple[list[int], list[int]]:
+    """The right cosets Kx of the subgroup K = ``sub_mask`` that make up ``within_mask``.
+
+    Returns the coset id of each element of G (-1 outside ``within_mask``)
+    and the least element of each coset; ids follow the least elements.
+    """
+    table = G.table
+    members = list(bits(sub_mask))
+    n = G.order
+    coset_of = [-1] * n
+    reps: list[int] = []
+    for i in range(n) if within_mask == (1 << n) - 1 else bits(within_mask):
+        if coset_of[i] != -1:
+            continue
+        cid = len(reps)
+        reps.append(i)
+        for y in map(table[i].__getitem__, members):
+            coset_of[y] = cid
+    return coset_of, reps
+
+
 @dataclass
 class QuotientMap:
     """A quotient group together with the projection onto it.
@@ -832,26 +833,11 @@ def quotient(G: Group, normal_mask: int, normal_gen_idxs: Sequence[int]) -> Quot
         for h in normal_gen_idxs:
             if not (normal_mask >> G.conj(h, g)) & 1:
                 raise NotNormal("subgroup is not normal in the ambient group")
-    table = G.table
-    n = G.order
-    coset_of = [-1] * n
-    reps: list[int] = []
-    members = []
-    m = normal_mask
-    while m:
-        low = m & -m
-        members.append(low.bit_length() - 1)
-        m ^= low
-    for i in range(n):
-        if coset_of[i] != -1:
-            continue
-        cid = len(reps)
-        reps.append(i)
-        for y in map(table[i].__getitem__, members):
-            coset_of[y] = cid
+    coset_of, reps = right_cosets(G, (1 << G.order) - 1, normal_mask)
     count = len(reps)
-    if count * len(members) != n:
+    if count * normal_mask.bit_count() != G.order:
         raise InternalCheckFailure("quotient order mismatch")
+    table = G.table
     typecode = _typecode(count)
     coset = coset_of.__getitem__
     rows = [array(typecode, map(coset, map(table[d].__getitem__, reps))) for d in reps]

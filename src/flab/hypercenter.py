@@ -17,12 +17,11 @@ from typing import Callable, Union
 
 from . import config
 from .errors import InternalCheckFailure, OracleCapExceeded
-from .groups import Group, QuotientMap, _typecode, quotient
+from .groups import Group, QuotientMap, _typecode, quotient, right_cosets
 from .perms import Permutation
 from .series import ChiefFactor, _chief_masks_to, _minimal_normal_above
 from .subgroups import (
     SubgroupRef,
-    bits,
     centralizer_of_factor,
     full_subgroup,
     subgroup_from_mask,
@@ -60,50 +59,35 @@ def build_factor_action_product(G: Group, factor: ChiefFactor, cap: int | None =
     the kernel), so the product has order |H/K| * |G/C|.  Up to
     ``ELEMENT_CAP`` it is a table group read off G's table; above it, it is a
     permutation group on the cosets of K in H, because membership beyond the
-    element cap is decided from a stabilizer chain.  Cached on G per factor.
+    element cap is decided from a stabilizer chain.  Cached on G per factor;
+    the cache is read first, so a cached product costs no centralizer scan.
     """
     cap = config.ORACLE_CAP if cap is None else cap
-    cent, acting = _factor_quotient_data(G, factor)
-    m = factor.order
-    if m * acting > cap:
-        raise OracleCapExceeded(
-            f"product order {m * acting} exceeds the oracle cap {cap}"
-        )
     cache_key = (factor.below.mask, factor.above.mask)
-    cached = G._factor_products.get(cache_key)
-    if cached is not None:
-        return cached
-    coset_of, reps = _factor_cosets(G, factor)
-    if m * acting <= config.ELEMENT_CAP:
-        W = _table_product(G, factor, coset_of, reps, quotient(G, cent.mask, cent.gen_idxs))
+    W = G._factor_products.get(cache_key)
+    if W is None:
+        cent, acting = _factor_quotient_data(G, factor)
+        order = factor.order * acting
     else:
-        W = _permutation_product(G, factor, coset_of, reps)
-        if W.order != m * acting:
-            raise InternalCheckFailure("oracle product has unexpected order")
-    G._factor_products[cache_key] = W
+        order = W.order
+    if order > cap:
+        raise OracleCapExceeded(f"product order {order} exceeds the oracle cap {cap}")
+    if W is None:
+        coset_of, reps = right_cosets(G, factor.above.mask, factor.below.mask)
+        if order <= config.ELEMENT_CAP:
+            W = _table_product(G, factor, coset_of, reps, quotient(G, cent.mask, cent.gen_idxs))
+        else:
+            W = _permutation_product(G, factor, coset_of, reps)
+            if W.order != order:
+                raise InternalCheckFailure("oracle product has unexpected order")
+        G._factor_products[cache_key] = W
     return W
-
-
-def _factor_cosets(G: Group, factor: ChiefFactor) -> tuple[dict[int, int], list[int]]:
-    """The cosets of K in H: coset id of each element of H, and the least element of each coset."""
-    table = G.table
-    kmembers = list(bits(factor.below.mask))
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for i in bits(factor.above.mask):
-        if i in coset_of:
-            continue
-        cid = len(reps)
-        reps.append(i)
-        for x in map(table[i].__getitem__, kmembers):
-            coset_of[x] = cid
-    return coset_of, reps
 
 
 def _table_product(
     G: Group,
     factor: ChiefFactor,
-    coset_of: dict[int, int],
+    coset_of: list[int],
     reps: list[int],
     acting: QuotientMap,
 ) -> Group:
@@ -148,7 +132,7 @@ def _table_product(
 
 
 def _permutation_product(
-    G: Group, factor: ChiefFactor, coset_of: dict[int, int], reps: list[int]
+    G: Group, factor: ChiefFactor, coset_of: list[int], reps: list[int]
 ) -> Group:
     """(H/K) x| (G/C) on the cosets of K in H: the factor acts by right
     translation and G by conjugation, which is faithful modulo C."""

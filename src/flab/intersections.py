@@ -51,8 +51,7 @@ from .subgroups import (
 class SubgroupFunctor:
     """A conjugation-closed assignment of subgroup families to groups."""
 
-    tag: str  # "sylow" | "cyclic-primary" | "maximal" | "f-maximal"
-    formation: FormationExpr | None = None
+    tag: str  # "sylow" | "cyclic-primary" | "maximal"
 
     def __call__(self, X: Group | SubgroupRef) -> list[SubgroupRef]:
         X = as_ref(X)
@@ -65,19 +64,12 @@ class SubgroupFunctor:
             return cyclic_primary_subgroups(X)
         if self.tag == "maximal":
             return maximal_subgroups(X)
-        if self.tag == "f-maximal":
-            assert self.formation is not None
-            return f_maximal_subgroups(self.formation, X)
         raise ValueError(f"unknown functor {self.tag!r}")
 
 
 SYLOW = SubgroupFunctor("sylow")
 CYCLIC_PRIMARY = SubgroupFunctor("cyclic-primary")
 MAXIMAL = SubgroupFunctor("maximal")
-
-
-def f_maximal_functor(F: FormationExpr) -> SubgroupFunctor:
-    return SubgroupFunctor("f-maximal", F)
 
 
 # ---------------------------------------------------------------------------

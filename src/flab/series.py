@@ -5,15 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FlabError, InternalCheckFailure
-# perfbench's tracer test reads the quotient binding of this module
+# perfbench's tracer test reads the quotient and closure_mask bindings of this module
 from .groups import Group, quotient  # noqa: F401
+from .subgroups import closure_mask  # noqa: F401
 from .subgroups import (
     SubgroupRef,
     as_ref,
     bits,
-    closure_mask,
+    commutator_subgroup,
     full_subgroup,
-    normal_closure_mask,
     normal_subgroup_masks,
     o_pi,
     p_part,
@@ -25,7 +25,8 @@ from .subgroups import (
 
 
 def normal_subgroups(X: Group | SubgroupRef) -> list[SubgroupRef]:
-    """All normal subgroups, sorted by (order, fingerprint)."""
+    """All normal subgroups, sorted by (order, integer mask), the order of
+    :func:`subgroups.normal_subgroup_masks`."""
     X = as_ref(X)
     return [subgroup_from_mask(X.ambient, m) for m in normal_subgroup_masks(X)]
 
@@ -153,23 +154,13 @@ def upper_central_series(X: Group | SubgroupRef) -> list[SubgroupRef]:
         series.append(subgroup_from_mask(G, nxt))
 
 
-def derived_subgroup(X: SubgroupRef) -> SubgroupRef:
-    """[X, X] as the normal closure in X of the generator commutators."""
-    G = X.ambient
-    gens = X.gen_idxs
-    seeds = {G.comm(a, b) for a_pos, a in enumerate(gens) for b in gens[a_pos + 1:]}
-    seeds.discard(G.identity_idx)
-    mask = normal_closure_mask(X, sorted(seeds))
-    return subgroup_from_mask(G, mask)
-
-
 def derived_series(X: Group | SubgroupRef) -> list[SubgroupRef]:
     """X >= X' >= X'' >= ... down to the stable term."""
     X = as_ref(X)
     series = [X]
     while True:
         current = series[-1]
-        derived = derived_subgroup(current)
+        derived = commutator_subgroup(current, current)
         if derived.mask == current.mask:
             return series
         series.append(derived)
@@ -179,36 +170,39 @@ def is_soluble(X: Group | SubgroupRef) -> bool:
     return derived_series(X)[-1].is_trivial
 
 
-def fitting_subgroup(X: Group | SubgroupRef) -> SubgroupRef:
-    """F(X): the join of the O_p(X) over primes dividing |X|."""
+def fitting_subgroup(X: Group | SubgroupRef, floor: SubgroupRef | None = None) -> SubgroupRef:
+    """F(X), or over an X-normal floor the preimage of F(X/floor).
+
+    That is the smallest X-normal subgroup containing ``o_pi(X, [p], floor)``
+    for each prime p dividing |X/floor|.  The closure of the join of the
+    O_p(X) that this replaced is ``tests/oracles.py::fitting_subgroup_by_closure``.
+    """
     X = as_ref(X)
-    G = X.ambient
-    mask = trivial_subgroup(G).mask
-    for p in prime_factors(X.order):
-        mask |= o_pi(X, [p]).mask
-    return subgroup_from_mask(G, closure_mask(G, list(bits(mask))))
+    parts = 1 << X.ambient.identity_idx if floor is None else floor.mask
+    for p in prime_factors(X.order // parts.bit_count()):
+        parts |= o_pi(X, [p], floor).mask
+    # normal_subgroup_masks is sorted by order, so the first one containing
+    # the parts is the smallest
+    mask = next(m for m in normal_subgroup_masks(X) if parts & ~m == 0)
+    return subgroup_from_mask(X.ambient, mask)
 
 
 def nilpotent_length(X: Group | SubgroupRef) -> int:
     """Length of the Fitting series; requires a soluble group.
 
-    The series is walked by floors in X: the term above a floor is the
-    preimage of F(X/floor), the smallest X-normal subgroup containing the
-    preimages of the O_p(X/floor).
+    The series is walked by floors in X: the term above a floor is
+    ``fitting_subgroup(X, floor)``.
     """
     X = as_ref(X)
     if not is_soluble(X):
         raise FlabError("nilpotent length is defined for soluble groups only")
-    normals = normal_subgroup_masks(X)
     floor = trivial_subgroup(X.ambient)
     length = 0
     while floor.mask != X.mask:
-        parts = 0
-        for p in prime_factors(X.order // floor.order):
-            parts |= o_pi(X, [p], floor).mask
-        if parts == floor.mask:  # pragma: no cover - impossible for soluble groups
+        above = fitting_subgroup(X, floor)
+        if above.mask == floor.mask:  # pragma: no cover - impossible for soluble groups
             raise InternalCheckFailure("trivial Fitting subgroup in a soluble group")
-        floor = subgroup_from_mask(X.ambient, next(m for m in normals if parts & ~m == 0))
+        floor = above
         length += 1
     return length
 

@@ -9,20 +9,12 @@ the ambient group's elements and multiplication table.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NotASubgroup
-# p_part stays importable from here for existing callers; perfbench's tracer
-# test reads the quotient binding of this module
-from .groups import Group, p_part, prime_factors, quotient, restriction  # noqa: F401
-
-
-def bits(mask: int) -> Iterator[int]:
-    """Iterate set bit positions in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# bits, p_part and prime_factors stay importable from here for existing
+# callers; perfbench's tracer test reads the quotient binding of this module
+from .groups import Group, bits, p_part, prime_factors, quotient, restriction  # noqa: F401
 
 
 class SubgroupRef:
@@ -370,12 +362,33 @@ def is_normal_in(H: SubgroupRef, X: Group | SubgroupRef) -> bool:
 
 
 def commutator_subgroup(A: SubgroupRef, B: SubgroupRef) -> SubgroupRef:
-    """[A, B], generated by all commutators of elements of A with elements of B."""
+    """[A, B]: the normal closure in <A, B> of the commutators [a, b] of the
+    generators of A with those of B (Robinson, 5.1.7).
+
+    The commutators are closed under conjugation by the generators of the
+    operand that contains the other, or by both generator sets when neither
+    does, and the subgroup they generate is taken.
+    """
     if A.ambient is not B.ambient:
         raise NotASubgroup("operands live in different ambient groups")
     G = A.ambient
-    comms = {G.comm(a, b) for a in bits(A.mask) for b in bits(B.mask)}
-    return subgroup_from_mask(G, closure_mask(G, sorted(comms)))
+    if B.mask & ~A.mask == 0:
+        conj_gens = A.gen_idxs
+    elif A.mask & ~B.mask == 0:
+        conj_gens = B.gen_idxs
+    else:
+        conj_gens = A.gen_idxs + B.gen_idxs
+    seeds = {G.comm(a, b) for a in A.gen_idxs for b in B.gen_idxs}
+    seeds.discard(G.identity_idx)
+    pending = list(seeds)
+    while pending:
+        s = pending.pop()
+        for g in conj_gens:
+            c = G.conj(s, g)
+            if c not in seeds:
+                seeds.add(c)
+                pending.append(c)
+    return subgroup_from_mask(G, closure_mask(G, sorted(seeds)))
 
 
 def join(A: SubgroupRef, B: SubgroupRef) -> SubgroupRef:
@@ -391,10 +404,19 @@ def join(A: SubgroupRef, B: SubgroupRef) -> SubgroupRef:
 
 def product_mask(G: Group, A: SubgroupRef, B: SubgroupRef) -> int:
     """The set product AB = {ab} as a mask (a subgroup iff AB = BA)."""
-    out = 0
-    for a in bits(A.mask):
-        for b in bits(B.mask):
-            out |= 1 << G.mul(a, b)
+    return _set_product(G.table, A.mask, B.mask)
+
+
+def _set_product(table, a: int, b: int) -> int:
+    """The set product of two subgroup masks, as the union of the right
+    cosets Ax, x in B: each coset is listed once, so the cost is O(|AB|)."""
+    out = a
+    a_elts = list(bits(a))
+    for x in bits(b):
+        if not (out >> x) & 1:
+            row = table[x]
+            for y in a_elts:
+                out |= 1 << row[y]
     return out
 
 
@@ -415,43 +437,6 @@ def pi_elements(X: Group | SubgroupRef, pi: Iterable[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # Normal-subgroup machinery (mask level)
 # ---------------------------------------------------------------------------
-
-
-def normal_closure_mask(X: SubgroupRef, seed_idxs: Iterable[int]) -> int:
-    """Mask of the normal closure of <seeds> inside the subgroup X."""
-    G = X.ambient
-    e = G.identity_idx
-    mask = 1 << e
-    gens = list(X.gen_idxs)
-    frontier = []
-    seeds = set()
-    for s in seed_idxs:
-        if not (mask >> s) & 1:
-            mask |= 1 << s
-            frontier.append(s)
-            seeds.add(s)
-    # close under conjugation by X and under products
-    pending = list(frontier)
-    while pending:
-        s = pending.pop()
-        for g in gens:
-            c = G.conj(s, g)
-            if c not in seeds:
-                seeds.add(c)
-                pending.append(c)
-    return closure_mask(G, sorted(seeds))
-
-
-def _normal_product_mask(table, a: int, b: int) -> int:
-    """The product AB = union of the cosets Bx, x in A, for B normal: O(|AB|)."""
-    out = b
-    b_elts = list(bits(b))
-    for x in bits(a):
-        if not (out >> x) & 1:
-            row = table[x]
-            for y in b_elts:
-                out |= 1 << row[y]
-    return out
 
 
 def normal_subgroup_masks(X: Group | SubgroupRef) -> tuple[int, ...]:
@@ -493,7 +478,7 @@ def normal_subgroup_masks(X: Group | SubgroupRef) -> tuple[int, ...]:
             for b in sorted(result):
                 if a | b in result:
                     continue
-                joined = _normal_product_mask(table, a, b)
+                joined = _set_product(table, a, b)
                 if joined not in result:
                     result.add(joined)
                     nxt.append(joined)

@@ -12,11 +12,14 @@ membership through O_pi, the permutation-built oracle product, the
 per-member subnormalizer and normalizer intersections, O^pi as an
 intersection of normal subgroups, supersolubility by chief factors,
 subnormality along any chain of step quotients, O_pi as the join of the
-normal pi-subgroups, and the section decisions made on quotient or subgroup
+normal pi-subgroups, the section decisions made on quotient or subgroup
 groups: the local class test, O_{p',p}, the Fitting length and the chief
-series of a subgroup), each the library's algorithm before its exact
-shortcut, before the lattice became its source, or before it read sections
-as masks in the ambient group.
+series of a subgroup, and the constructions that now have one kernel each:
+the commutator subgroup as the closure of all |A|·|B| commutators, the set
+product one pair at a time, and the Fitting subgroup as the closure of the
+join of the O_p), each the library's algorithm before its exact shortcut,
+before the lattice became its source, before it read sections as masks in
+the ambient group, or before one routine served every caller.
 """
 
 from __future__ import annotations
@@ -551,3 +554,36 @@ def chief_series_by_subgroup_group(X) -> list[int]:
 
     sub, to_ambient = _subgroup_group(X)
     return [to_ambient(ref.mask) for ref in chief_series(sub)]
+
+
+def commutator_subgroup_by_all_pairs(A, B) -> int:
+    """Oracle for ``subgroups.commutator_subgroup``: the closure of the
+    commutators of every element of A with every element of B; returns a mask."""
+    from flab.subgroups import bits, closure_mask
+
+    G = A.ambient
+    comms = {G.comm(a, b) for a in bits(A.mask) for b in bits(B.mask)}
+    return closure_mask(G, sorted(comms))
+
+
+def product_mask_by_pairs(G, A, B) -> int:
+    """Oracle for ``subgroups.product_mask``: every product ab, one pair at a time."""
+    from flab.subgroups import bits
+
+    out = 0
+    for a in bits(A.mask):
+        for b in bits(B.mask):
+            out |= 1 << G.mul(a, b)
+    return out
+
+
+def fitting_subgroup_by_closure(X) -> int:
+    """Oracle for ``series.fitting_subgroup`` without a floor: the closure of
+    the join of the O_p(X) over the primes dividing |X|; returns a mask."""
+    from flab.subgroups import as_ref, bits, closure_mask, prime_factors
+
+    X = as_ref(X)
+    joined = 1 << X.ambient.identity_idx
+    for p in prime_factors(X.order):
+        joined |= o_pi_by_join(X, [p])
+    return closure_mask(X.ambient, list(bits(joined)))

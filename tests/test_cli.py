@@ -122,6 +122,34 @@ def test_reports_byte_identical_across_processes():
     assert runs[0].stdout.strip()
 
 
+def test_closed_stdout_exits_141_without_traceback():
+    # a reader that stops after the first line (like `| head -n 1`); the
+    # report is far larger than the pipe buffer, so the writer sees the close
+    import os
+    import subprocess
+    import sys
+
+    import flab
+
+    import_root = os.path.dirname(os.path.dirname(os.path.abspath(flab.__file__)))
+    cmd = [sys.executable, "-m", "flab.cli", "verify", "--max-order", "30", "--format", "json"]
+    proc = subprocess.Popen(
+        cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_root},
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        status = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first.strip()
+    assert status == 141
+    assert stderr == b""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -14,6 +14,7 @@ from flab.formations import (
     SOL,
     SUPERSOLUBLE,
     SolPi,
+    _member_large_group,
     boundary_counterexample_search,
     format_formation,
     formation_member,
@@ -26,7 +27,7 @@ from flab.formations import (
 )
 from flab.groups import direct_product, make_group, quotient
 from flab.lattice import all_subgroups
-from flab.series import normal_subgroups
+from flab.series import is_soluble, normal_subgroups
 from flab.subgroups import full_subgroup, subgroup_from_mask
 
 from .oracles import is_nilpotent_bf, is_supersoluble_bf, elements_of, local_def_member_by_quotient
@@ -159,6 +160,28 @@ def test_chain_only_membership_above_element_cap(spec):
         else:
             assert formation_member(F, G) is expected, format_formation(F)
     assert G._elements is None  # decided without enumerating elements
+
+
+def test_chain_membership_agrees_with_table_membership_on_corpus():
+    # the chain rule, which decides groups above the element cap, run on small
+    # groups: solubility, N^r and pi classes match formation_member; U and
+    # cross classes are decided on insoluble groups and refused on soluble ones
+    chain_decided = (NIL, NilPow(2), NilPow(3), SOL, Gpi(frozenset({2, 3})), SolPi(frozenset({2, 3})))
+    enumeration_needed = (SUPERSOLUBLE, parse_formation("cross[{2,3}:gpi]"))
+    names = set()
+    for entry in build_corpus(120):
+        G = entry.group
+        names.add(entry.name)
+        for F in chain_decided:
+            assert _member_large_group(F, G) == formation_member(F, G), (entry.name, format_formation(F))
+        for F in enumeration_needed:
+            if is_soluble(G):
+                with pytest.raises(CapExceeded):
+                    _member_large_group(F, G)
+            else:
+                assert _member_large_group(F, G) is False
+                assert not formation_member(F, G)
+    assert {"A5", "S5"} <= names
 
 
 # -- closure properties (corpus-tested) ----------------------------------------

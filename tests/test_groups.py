@@ -11,6 +11,7 @@ from flab.groups import (
     Group,
     cyclic,
     dihedral,
+    commutator_gens,
     direct_product,
     make_group,
     quaternion8,
@@ -19,7 +20,8 @@ from flab.groups import (
     special_linear_2_3,
 )
 from flab.perms import Permutation
-from flab.subgroups import full_subgroup, subgroup_from_idxs
+from flab.lattice import all_subgroups
+from flab.subgroups import commutator_subgroup, full_subgroup, subgroup_from_idxs
 
 from .oracles import closure, element_order_histogram, elements_of
 
@@ -352,3 +354,19 @@ def test_parse_errors():
     for bad in ("", "X7", "E(4^2)", "sd(C3,C2)", "C0", "perm(3)", "perm(-1; ())", "sd(C3,C2,n5->n0)"):
         with pytest.raises(SpecParseError):
             make_group(bad)
+
+
+@pytest.mark.parametrize("spec", ["S4", "SL(2,3)", "D16", "A5"])
+def test_chain_commutator_matches_table_commutator(spec):
+    # [A, B] for A <= B, grown in a stabilizer chain, against the table kernel
+    G = make_group(spec)
+    refs = all_subgroups(G).refs
+    for B in refs:
+        b_gens = [G.perm_at(i) for i in B.gen_idxs]
+        for A in refs:
+            if not B.contains(A):
+                continue
+            table = commutator_subgroup(A, B)
+            gens, order = commutator_gens([G.perm_at(i) for i in A.gen_idxs], b_gens, G.degree)
+            assert order == table.order, (A.order, B.order)
+            assert all((table.mask >> G.idx_of(g)) & 1 for g in gens)

@@ -70,6 +70,32 @@ def test_oracle_cap():
         is_f_central_oracle(NIL, G, f, cap=100)
 
 
+def test_cached_oracle_product_skips_the_centralizer_scan(monkeypatch):
+    # the second class reads each product from the cache, before C_G(H/K)
+    import sys
+
+    hc = sys.modules["flab.hypercenter"]  # the package exports a function of that name
+    scans = []
+    scan = hc.centralizer_of_factor
+
+    def counting_scan(X, H, K):
+        scans.append((H.mask, K.mask))
+        return scan(X, H, K)
+
+    monkeypatch.setattr(hc, "centralizer_of_factor", counting_scan)
+    G = make_group("S4")
+    factors = chief_factors(G)
+    for F in (NIL, SUPERSOLUBLE):
+        for f in factors:
+            is_f_central_oracle(F, G, f)
+    assert len(scans) == len(factors)
+    # a cached product above a smaller cap is still refused
+    W = build_factor_action_product(G, factors[-1])
+    with pytest.raises(OracleCapExceeded):
+        build_factor_action_product(G, factors[-1], cap=W.order - 1)
+    assert len(scans) == len(factors)
+
+
 def test_method_both_enforces_agreement():
     G = make_group("S4")
     for f in chief_factors(G):

@@ -18,7 +18,11 @@ from flab.series import (
 from flab.corpus import build_corpus
 from flab.subgroups import bits, conjugacy_orbit
 
-from .oracles import chief_series_by_subgroup_group, nilpotent_length_by_quotients
+from .oracles import (
+    chief_series_by_subgroup_group,
+    fitting_subgroup_by_closure,
+    nilpotent_length_by_quotients,
+)
 
 
 def test_normal_subgroups_s4():
@@ -38,6 +42,14 @@ def test_normal_subgroups_match_lattice_filter():
         }
         direct = {n.mask for n in normal_subgroups(G)}
         assert direct == from_lattice
+
+
+def test_normal_subgroups_are_listed_by_order_then_integer_mask():
+    # the lemma check samples positions in this list, so its order is pinned;
+    # on E(3^2) the (order, fingerprint) key would list the order-3 ones differently
+    masks = [ref.mask for ref in normal_subgroups(make_group("E(3^2)"))]
+    assert masks == sorted(masks, key=lambda m: (m.bit_count(), m))
+    assert masks != sorted(masks, key=lambda m: (m.bit_count(), tuple(bits(m))))
 
 
 def test_abelian_groups_have_all_subgroups_normal():
@@ -172,6 +184,13 @@ def test_fitting_subgroup():
     assert fitting_subgroup(make_group("S4")).order == 4
     assert fitting_subgroup(make_group("S3")).order == 3
     assert fitting_subgroup(make_group("SL(2,3)")).order == 8
+
+
+def test_fitting_subgroup_agrees_with_closure_oracle():
+    # the smallest X-normal subgroup above the O_p(X) is their join
+    for entry in build_corpus(60):
+        for X in all_subgroups(entry.group).refs:
+            assert fitting_subgroup(X).mask == fitting_subgroup_by_closure(X), (entry.name, X.order)
 
 
 def test_is_nilpotent():

@@ -11,11 +11,13 @@ from flab.subgroups import (
     commutator_subgroup,
     core,
     full_subgroup,
+    is_normal_in,
     normalizer,
     o_pi,
     o_pi_up,
     o_pp,
     prime_factors,
+    product_mask,
     subgroup_from_idxs,
     subgroup_from_mask,
     trivial_subgroup,
@@ -26,12 +28,14 @@ from flab.lattice import all_subgroups
 from .oracles import (
     centralizer_bf,
     commutator_bf,
+    commutator_subgroup_by_all_pairs,
     core_bf,
     elements_of,
     normalizer_bf,
     o_pi_by_join,
     o_pi_up_by_normal_subgroups,
     o_pp_by_quotient,
+    product_mask_by_pairs,
 )
 
 
@@ -226,6 +230,27 @@ def test_o_pi_and_o_pp_agree_with_quotient_oracles():
             for p in prime_factors(G.order):
                 assert o_pi(X, [p]).mask == o_pi_by_join(X, [p]), (entry.name, X.order, p)
                 assert o_pp(X, p).mask == o_pp_by_quotient(X, p), (entry.name, X.order, p)
+
+
+def test_commutators_and_products_agree_with_pair_oracles():
+    # [A, B] is conjugated by one generator set when one operand contains the
+    # other and by both otherwise (pairs with a normal operand, either way
+    # round); AB is a union of right cosets of A
+    from flab.corpus import build_corpus
+
+    for entry in build_corpus(60):
+        G = entry.group
+        refs = all_subgroups(G).refs
+        normals = [ref for ref in refs if is_normal_in(ref, G)]
+        pairs = [(A, B) for A in refs for B in refs if A.contains(B) or B.contains(A)]
+        apart = [(A, B) for A in normals for B in refs if not (A.contains(B) or B.contains(A))]
+        pairs += apart + [(B, A) for A, B in apart]
+        for A, B in pairs:
+            assert commutator_subgroup(A, B).mask == commutator_subgroup_by_all_pairs(A, B), (
+                entry.name, A.order, B.order)
+        for A in refs:
+            for B in refs:
+                assert product_mask(G, A, B) == product_mask_by_pairs(G, A, B), (entry.name, A.order, B.order)
 
 
 def test_orbit_stabilizer_invariant(s4):
