@@ -27,7 +27,7 @@ LATTICE_SUBGROUP_BUDGET = 20000
 """Abort subgroup enumeration past this many subgroups."""
 
 LATTICE_JOIN_BUDGET = 2_000_000
-"""Abort subgroup enumeration past this many join operations."""
+"""Abort subgroup enumeration past this many joins formed, one per N_G(H)-orbit of atoms."""
 
 CORPUS_MAX_ORDER = 324
 """Default order bound for the builtin verification corpus."""

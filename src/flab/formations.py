@@ -22,7 +22,7 @@ from .errors import (
     SpecParseError,
 )
 from .groups import Group, commutator_gens, quotient
-from .lattice import maximal_subgroups
+from .lattice import SubgroupLattice, maximal_subgroups
 from .perms import Permutation
 from .series import derived_series, is_nilpotent, is_soluble
 from .subgroups import (
@@ -245,12 +245,23 @@ def formation_member(F: FormationExpr, X: Group | SubgroupRef) -> bool:
     return _memoised("member", F, as_ref(X), _member_ref)
 
 
+def member_bits(F: FormationExpr, lat: SubgroupLattice, inside: int) -> int:
+    """The bitmask of the lattice indices in ``inside`` whose subgroups belong
+    to F, decided as :func:`formation_member` decides them, through its memo."""
+    memo = lat.ambient._class_memo.setdefault(("member", F), {})
+    out = 0
+    for i in bits(inside):
+        X = lat.refs[i]
+        value = memo.get(X.mask)
+        if value is None:
+            value = memo[X.mask] = _member_ref(F, X)
+        out |= value << i
+    return out
+
+
 def _memoised(kind: str, F: FormationExpr, X: SubgroupRef, decide: Callable) -> Any:
     """``decide(F, X)``, memoised on the ambient group per decision kind, class and mask."""
-    memos = X.ambient._class_memo
-    memo = memos.get((kind, F))
-    if memo is None:
-        memo = memos[(kind, F)] = {}
+    memo = X.ambient._class_memo.setdefault((kind, F), {})
     value = memo.get(X.mask)
     if value is None:
         value = memo[X.mask] = decide(F, X)

@@ -233,6 +233,7 @@ class Group:
         self._identity_idx: int | None = None
         self._table: list[array] | None = None
         self._inv: array | None = None
+        self._gen_rows: list[array] | None = None
         self._elt_orders: array | None = None
         self._conj_rows: dict[int, array] = {}
         self._lattice = None
@@ -327,32 +328,40 @@ class Group:
                 self._elements = tuple(map(self._perm_of, range(self.order)))
             else:
                 self._elements = self._enumerate()
-            self._index = {p: i for i, p in enumerate(self._elements)}
-            if self._identity_idx is None:
-                self._identity_idx = self._index[self.identity()]
         elif limit is not None and len(self._elements) > limit:
             raise CapExceeded(f"order {self.order} exceeds element cap {limit}")
         return self._elements
 
     def _enumerate(self) -> tuple[Permutation, ...]:
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = x * g
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        if len(seen) != self.order:
+        """Breadth-first search over image tuples that keeps each element's
+        generator products as positions: once the elements are sorted, these
+        give the generators' indices and table rows (``_gen_rows``)."""
+        gens = [g.images for g in self.generators]
+        found = [tuple(range(self.degree))]
+        position = {found[0]: 0}
+        products: list[list[int]] = [[] for _ in gens]  # [j][k]: position of found[k] * gens[j]
+        for x in found if gens else ():  # grows as new elements are found
+            image_of = itemgetter(*x)  # q -> x * q; x has degree >= 2 when there are gens
+            for q, out in zip(gens, products):
+                y = image_of(q)
+                k = position.setdefault(y, len(found))
+                if k == len(found):
+                    found.append(y)
+                out.append(k)
+        n = len(found)
+        if n != self.order:
             raise InternalCheckFailure("closure count disagrees with chain order")
-        return tuple(sorted(seen))
+        order = sorted(range(n), key=found.__getitem__)
+        rank = sorted(range(n), key=order.__getitem__)  # position -> index
+        self._identity_idx = rank[0]
+        self._gen_idxs = tuple(rank[out[0]] for out in products)
+        typecode = _typecode(n)
+        self._gen_rows = [array(typecode, (rank[out[k]] for k in order)) for out in products]
+        return tuple(Permutation._unsafe(found[k]) for k in order)
 
     def element_index(self) -> dict[Permutation, int]:
-        self.elements()
-        assert self._index is not None
+        if self._index is None:
+            self._index = {p: i for i, p in enumerate(self.elements())}
         return self._index
 
     @property
@@ -371,39 +380,34 @@ class Group:
     # -- index arithmetic ------------------------------------------------------
 
     def _build_table(self) -> None:
-        """Dense right-multiplication table via the regular representation.
+        """Dense right-multiplication table: ``r_a[x] == index(elem[x] * elem[a])``.
 
-        Row ``r_g`` satisfies ``r_g[x] == index(elem[x] * elem[g])``; rows for
-        products compose as index arrays, so the whole table costs O(|G|^2)
-        array lookups after the generator rows.  The inverse map is built
-        alongside, with the same typecode.
+        From the generators' rows of the enumeration, the row of g * a is
+        ``r_a`` gathered at ``r_g`` (x * g * a), one ``itemgetter(*r_g)`` per
+        generator, and the inverse of a is the x with ``r_a[x]`` the identity.
         """
-        elems = self.elements()
-        n = len(elems)
-        idx = self.element_index()
+        self.elements()
+        n = self.order
+        e = self.identity_idx
         typecode = _typecode(n)
         rows: list[array | None] = [None] * n
-        e = self.identity_idx
         rows[e] = array(typecode, range(n))
-        frontier = [e]
-        gen_idx = self.gen_idxs()
-        gen_rows = {}
-        for gi in gen_idx:
-            g = elems[gi]
-            gen_rows[gi] = array(typecode, (idx[x * g] for x in elems))
+        for g, rg in zip(self.gen_idxs(), self._gen_rows):  # type: ignore[arg-type]
+            rows[g] = rg
+        self._gen_rows = None
+        gathers = [(g, itemgetter(*rows[g])) for g in self.gen_idxs()]
+        frontier = [e, *self.gen_idxs()]
         while frontier:
             nxt = []
             for a in frontier:
                 ra = rows[a]
-                assert ra is not None
-                for gi in gen_idx:
-                    rg = gen_rows[gi]
-                    b = rg[a]  # index of elem[a] * gen
+                for g, gather in gathers:
+                    b = ra[g]  # index of elem[g] * elem[a]
                     if rows[b] is None:
-                        rows[b] = array(typecode, map(rg.__getitem__, ra))
+                        rows[b] = array(typecode, gather(ra))
                         nxt.append(b)
             frontier = nxt
-        self._inv = array(typecode, (idx[p.inverse()] for p in elems))
+        self._inv = array(typecode, (row.index(e) for row in rows))  # type: ignore[union-attr]
         self._table = rows  # type: ignore[assignment]
 
     @property
@@ -485,9 +489,8 @@ class Group:
 
     def gen_idxs(self) -> tuple[int, ...]:
         if self._gen_idxs is None:
-            idx = self.element_index()
-            self._gen_idxs = tuple(idx[g] for g in self.generators)
-        return self._gen_idxs
+            self.elements()
+        return self._gen_idxs  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ Intersections over an empty family return the ambient group.  Subnormality
 steps compare the class residual of the chain top against the core of the
 maximal subgroup (the quotient lies in the class iff the residual lies inside
 the kernel), which keeps the recursion at bitmask level.  Class membership
-and residuals are read from ``formations.formation_member`` and
-``formations.residual_mask``; this module decides no class itself.
+and residuals are read from ``formations.formation_member`` (``member_bits``
+for lattice members) and ``formations.residual_mask``; this module decides
+no class itself.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NotASubgroup
-from .formations import FormationExpr, formation_member, residual_mask
+from .formations import FormationExpr, formation_member, member_bits, residual_mask
 from .groups import Group
 from .lattice import (
     SubgroupLattice,
@@ -81,13 +82,7 @@ def f_maximal_subgroups(F: FormationExpr, X: Group | SubgroupRef) -> list[Subgro
     """Members of the class that no larger member of the class contains."""
     X = as_ref(X)
     lat = all_subgroups(X.ambient)
-    xi = lat.index_of(X)
-    inside = lat.sub_rows[xi]
-    member_bits = 0
-    for i in bits(inside):
-        if formation_member(F, lat.refs[i]):
-            member_bits |= 1 << i
-    return _containment_maximal(lat, member_bits)
+    return _containment_maximal(lat, member_bits(F, lat, lat.sub_rows[lat.index_of(X)]))
 
 
 def _containment_maximal(lat: SubgroupLattice, chosen: int) -> list[SubgroupRef]:

@@ -3,9 +3,10 @@
 Enumeration seeds with all cyclic subgroups and closes under joins; joins are
 only formed between conjugacy-class representatives and prime-power cyclic
 "atoms" (every subgroup is generated by its prime-power cyclic subgroups, and
-conjugating a representative's joins yields the joins of the whole class), and
-each new subgroup is immediately expanded to its conjugacy class.  The result
-is exactly the set of all subgroups, found once each.
+conjugating a representative's joins yields the joins of the whole class),
+one atom per orbit of its normalizer, and each new subgroup is immediately
+expanded to its conjugacy class.  The result is exactly the set of all
+subgroups, found once each.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .subgroups import (
     bits,
     closure_mask,
     conjugacy_orbit,
+    normalizer,
     p_part,
     prime_factors,
     subgroup_from_mask,
@@ -86,18 +88,27 @@ def _cyclic_subgroups(G: Group) -> dict[int, int]:
 
 
 def _enumerate_subgroups(G: Group) -> list[list[int]]:
-    """The conjugacy classes of subgroups of G, each as the masks of its members."""
+    """The conjugacy classes of subgroups of G, each as the masks of its members.
+
+    A representative H is joined with one atom from each N_G(H)-orbit of the
+    atoms outside it, as <H, a>^g = <H, a^g> for g in N_G(H) (Cannon, Cox &
+    Holt, JSC 2001)."""
     n = G.order
     e = G.identity_idx
     full_mask = (1 << n) - 1
     divisors = [d for d in range(1, n) if n % d == 0]
     largest_proper = max(divisors) if divisors else 1
+    table, inv = G.table, G._inv
 
     # seed: all cyclic subgroups; atoms: the prime-power ones
     cyclic_masks = _cyclic_subgroups(G)
-    atoms = [  # (mask, generator index)
-        (m, x) for m, x in cyclic_masks.items() if len(prime_factors(G.elt_order(x))) == 1
-    ]
+    orders = G.elt_orders()
+    atoms = [x for x in cyclic_masks.values() if len(prime_factors(orders[x])) == 1]
+    owner = [e] * n  # each generator of a cyclic subgroup -> the subgroup's name
+    for m, x in cyclic_masks.items():
+        for y in bits(m):
+            if orders[y] == orders[x]:
+                owner[y] = x
 
     found: set[int] = {1 << e}
     orbits: list[list[int]] = [[1 << e]]
@@ -124,15 +135,37 @@ def _enumerate_subgroups(G: Group) -> list[list[int]]:
     joins = 0
     while queue:
         rep = queue.pop()
+        if rep == full_mask:  # no atom lies outside
+            continue
         gens = rep_gens[rep]
-        for amask, agen in atoms:
-            if amask & ~rep == 0:
+        # generators of N_G(H): H's, then each element of N_G(H) outside their closure
+        norm_mask = normalizer(G, subgroup_from_mask(G, rep, gens)).mask
+        norm_gens, have = list(gens), rep
+        for x in bits(norm_mask):
+            if have == norm_mask:
+                break
+            if not (have >> x) & 1:
+                norm_gens.append(x)
+                have = closure_mask(G, norm_gens, base=have)
+        conj = [(table[g], inv[g]) for g in norm_gens]  # x^g = table[g][table[x][inv[g]]]
+        seen = bytearray(n)
+        for a in atoms:
+            if seen[a] or (rep >> a) & 1:
                 continue
             joins += 1
             if joins > config.LATTICE_JOIN_BUDGET:
                 raise LatticeBudgetExceeded("join budget exhausted")
-            joined = closure_mask(G, list(gens) + [agen], stop_above=largest_proper, base=rep)
-            add_class(joined, tuple(sorted(set(gens) | {agen})))
+            joined = closure_mask(G, list(gens) + [a], stop_above=largest_proper, base=rep)
+            add_class(joined, tuple(sorted(set(gens) | {a})))
+            seen[a] = 1
+            pending = [a]
+            while pending:  # the rest of a's orbit
+                row = table[pending.pop()]
+                for row_g, g_inv in conj:
+                    b = owner[row_g[row[g_inv]]]
+                    if not seen[b]:
+                        seen[b] = 1
+                        pending.append(b)
     return orbits
 
 

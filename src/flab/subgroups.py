@@ -9,6 +9,7 @@ the ambient group's elements and multiplication table.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import getitem
 from typing import Iterable, Sequence
 
 from .errors import NotASubgroup
@@ -261,16 +262,13 @@ def normalizer(X: Group | SubgroupRef, H: SubgroupRef) -> SubgroupRef:
     G = X.ambient
     if H.ambient is not G:
         raise NotASubgroup("operands live in different ambient groups")
-    hmask = H.mask
-    hgens = H.gen_idxs
-    out = 0
     table = G.table
-    inv = G._inv
-    for g in _members(X):
-        row_g = table[g]
-        ginv = inv[g]
-        if all((hmask >> row_g[table[h][ginv]]) & 1 for h in hgens):
-            out |= 1 << g
+    digits = format(H.mask, f"0{G.order}b")[::-1].encode()  # digits[x] == ord("1") iff x in H
+    out = X.mask
+    for h in H.gen_idxs:
+        # for every g at once: h^g = table[g][table[h][inv[g]]], and whether it lies in H
+        conj = map(getitem, table, map(table[h].__getitem__, G._inv))
+        out &= int(bytes(map(digits.__getitem__, conj))[::-1], 2)
     return subgroup_from_mask(G, out)
 
 

@@ -17,9 +17,13 @@ groups: the local class test, O_{p',p}, the Fitting length and the chief
 series of a subgroup, and the constructions that now have one kernel each:
 the commutator subgroup as the closure of all |A|·|B| commutators, the set
 product one pair at a time, and the Fitting subgroup as the closure of the
-join of the O_p), each the library's algorithm before its exact shortcut,
-before the lattice became its source, before it read sections as masks in
-the ambient group, or before one routine served every caller.
+join of the O_p; and two kernels that now skip work: the subgroup lattice
+that joins each class representative with every prime-power cyclic
+subgroup outside it, ``subgroups_by_all_joins``, and the multiplication
+table built from Permutation products, ``table_by_permutation_products``),
+each the library's algorithm before its exact shortcut, before the lattice
+became its source, before it read sections as masks in the ambient group,
+before one routine served every caller, or before it was pruned.
 """
 
 from __future__ import annotations
@@ -587,3 +591,89 @@ def fitting_subgroup_by_closure(X) -> int:
     for p in prime_factors(X.order):
         joined |= o_pi_by_join(X, [p])
     return closure_mask(X.ambient, list(bits(joined)))
+
+
+def subgroups_by_all_joins(G) -> list[list[int]]:
+    """Oracle for ``lattice._enumerate_subgroups``: every conjugacy-class
+    representative is joined with every prime-power cyclic subgroup outside
+    it, with no pruning by its normalizer.  Returns the classes, each as the
+    masks of its members."""
+    from flab.subgroups import bits, closure_mask, conjugacy_orbit, prime_factors
+
+    n = G.order
+    e = G.identity_idx
+    largest_proper = max([d for d in range(1, n) if n % d == 0] or [1])
+    cyclic: dict[int, int] = {}
+    covered = 1 << e
+    for x in range(n):
+        if not (covered >> x) & 1:
+            m = closure_mask(G, [x])
+            cyclic[m] = x
+            covered |= sum(1 << y for y in bits(m) if G.elt_order(y) == G.elt_order(x))
+    atoms = [(m, x) for m, x in cyclic.items() if len(prime_factors(G.elt_order(x))) == 1]
+    found = {1 << e}
+    orbits = [[1 << e]]
+    rep_gens: dict[int, tuple[int, ...]] = {}
+    queue: list[int] = []
+
+    def add_class(mask, gens):
+        if mask not in found:
+            orbit = conjugacy_orbit(G, mask)
+            found.update(orbit)
+            orbits.append(orbit)
+            rep_gens[mask] = gens
+            queue.append(mask)
+
+    add_class((1 << n) - 1, G.gen_idxs())
+    for m in sorted(cyclic):
+        add_class(m, (cyclic[m],))
+    while queue:
+        rep = queue.pop()
+        gens = rep_gens[rep]
+        for amask, agen in atoms:
+            if amask & ~rep:
+                joined = closure_mask(G, list(gens) + [agen], stop_above=largest_proper, base=rep)
+                add_class(joined, tuple(sorted(set(gens) | {agen})))
+    return orbits
+
+
+def table_by_permutation_products(G):
+    """Oracle for ``Group._enumerate`` with ``Group._build_table``: the elements
+    found by breadth-first search over Permutation products and sorted, each
+    generator's row from one product per element, the other rows composed by
+    right multiplication, and each inverse looked up by
+    ``Permutation.inverse``.  Returns (elements, rows, inverse map)."""
+    from array import array
+
+    identity = G.identity()
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in G.generators:
+                y = x * g
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    elems = tuple(sorted(seen))
+    idx = {p: i for i, p in enumerate(elems)}
+    n = len(elems)
+    typecode = "h" if n < 32768 else "l"
+    rows: list = [None] * n
+    e = idx[identity]
+    rows[e] = array(typecode, range(n))
+    gen_rows = [array(typecode, (idx[x * g] for x in elems)) for g in G.generators]
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for rg in gen_rows:
+                b = rg[a]  # index of elem[a] * gen
+                if rows[b] is None:
+                    rows[b] = array(typecode, map(rg.__getitem__, rows[a]))
+                    nxt.append(b)
+        frontier = nxt
+    inv = array(typecode, (idx[p.inverse()] for p in elems))
+    return elems, rows, inv

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import flab.formations as formations_mod
 from flab import config
 from flab.corpus import build_corpus
 from flab.errors import CapExceeded, LocalDefinitionUnavailable, SpecParseError
@@ -20,6 +21,7 @@ from flab.formations import (
     formation_member,
     formation_residual,
     local_def_member,
+    member_bits,
     parse_formation,
     pi_support,
     residual_mask,
@@ -28,7 +30,7 @@ from flab.formations import (
 from flab.groups import direct_product, make_group, quotient
 from flab.lattice import all_subgroups
 from flab.series import is_soluble, normal_subgroups
-from flab.subgroups import full_subgroup, subgroup_from_mask
+from flab.subgroups import bits, full_subgroup, subgroup_from_mask
 
 from .oracles import is_nilpotent_bf, is_supersoluble_bf, elements_of, local_def_member_by_quotient
 
@@ -395,3 +397,23 @@ def test_boundary_search_p_universe():
 def test_boundary_search_nil_small():
     groups = [(s, make_group(s)) for s in ("S3", "S4", "A4", "Q8", "C6", "D8", "C12", "SL(2,3)")]
     assert boundary_counterexample_search(NIL, None, groups) == []
+
+
+@pytest.mark.parametrize("expr", ["N", "U", "Gpi{2,3}"])
+def test_member_bits_agrees_with_formation_member(expr, monkeypatch):
+    F = parse_formation(expr)
+    for spec in ("S4", "SL(2,3)", "A5", "C3 x S3", "D20", "sd(C7,C3,n0->n0^2)"):
+        # decided cold by each route, on two copies of the group
+        lat = all_subgroups(make_group(spec))
+        other = all_subgroups(make_group(spec))
+        for X in (lat.refs[-1], lat.refs[len(lat) // 2]):
+            inside = lat.sub_rows[lat.index_of(X)]
+            expected = sum(1 << i for i in bits(inside) if formation_member(F, other.refs[i]))
+            assert member_bits(F, lat, inside) == expected, (spec, expr, X.order)
+        # and warm: every member decided above is read back from the one memo
+        full = lat.sub_rows[-1]
+        with monkeypatch.context() as m:
+            m.setattr(formations_mod, "_member_ref", None)
+            assert member_bits(F, lat, full) == sum(
+                1 << i for i in bits(full) if formation_member(F, lat.refs[i])
+            )

@@ -1,13 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flab.lattice as lattice_mod
+from flab.corpus import _FIXED_PRODUCTS, build_corpus
 from flab.errors import LatticeBudgetExceeded
 from flab.groups import Group, make_group
 from flab.lattice import all_subgroups, frattini, lattice_summary, maximal_subgroups
 from flab.perms import Permutation
-from flab.subgroups import bits, conjugacy_orbit, normalizer
+from flab.subgroups import bits, closure_mask, conjugacy_orbit, normalizer, prime_factors
 
-from .oracles import subgroups_by_cyclic_extension, subgroups_by_small_subsets
+from .oracles import subgroups_by_all_joins, subgroups_by_cyclic_extension, subgroups_by_small_subsets
 
 
 def _as_sets(G, lat):
@@ -168,3 +170,46 @@ def test_random_small_groups_match_subset_oracle(image_lists):
     lat = all_subgroups(G)
     oracle = subgroups_by_small_subsets(G, 3)  # subgroups of S4-subgroups are 3-generated
     assert _as_sets(G, lat) == oracle
+
+
+def _classes(lat):
+    return {frozenset(lat.refs[j].mask for j in cls) for cls in lat.classes}
+
+
+def test_lattice_classes_match_all_joins_oracle():
+    # every group of build_corpus(120) and every fixed product
+    groups = [entry.group for entry in build_corpus(120)]
+    groups += [G for G in (make_group(spec) for _, spec in _FIXED_PRODUCTS) if G.order > 120]
+    for G in groups:
+        oracle = {frozenset(orbit) for orbit in subgroups_by_all_joins(G)}
+        assert _classes(all_subgroups(G)) == oracle, G.name
+
+
+@pytest.mark.parametrize("spec", ["S4", "A5", "SL(2,3)"])
+def test_each_representative_joins_one_atom_per_normalizer_orbit(spec, monkeypatch):
+    G = make_group(spec)
+    joins: dict[int, list[int]] = {}
+
+    def recording_closure(G_, seeds, stop_above=None, base=None):
+        if stop_above is not None:  # a join of a representative with one atom
+            joins.setdefault(base, []).append(list(seeds)[-1])
+        return closure_mask(G_, seeds, stop_above=stop_above, base=base)
+
+    monkeypatch.setattr(lattice_mod, "closure_mask", recording_closure)
+    all_subgroups(G)
+    monkeypatch.undo()
+    n = G.order
+    atoms = {closure_mask(G, [x]) for x in range(n) if len(prime_factors(G.elt_order(x))) == 1}
+    atoms.discard(1 << G.identity_idx)
+    assert joins
+    for rep, joined in joins.items():
+        members = list(bits(rep))
+        norm = [g for g in range(n) if all((rep >> G.conj(h, g)) & 1 for h in members)]
+
+        def orbit(mask):
+            return frozenset(sum(1 << G.conj(x, g) for x in bits(mask)) for g in norm)
+
+        outside = {orbit(a) for a in atoms if a & ~rep}
+        joined_orbits = [orbit(closure_mask(G, [a])) for a in joined]
+        assert len(set(joined_orbits)) == len(joined_orbits), (spec, rep)  # no orbit twice
+        assert set(joined_orbits) == outside, (spec, rep)  # and every orbit once

@@ -94,6 +94,13 @@ def test_normalizer_against_bruteforce(s3, s4):
             H = _set_to_ref(G, elements_of_closure([p]))
             expected = normalizer_bf(ambient, _ref_to_set(H))
             assert _ref_to_set(normalizer(G, H)) == expected
+    # a proper subgroup X as the ambient of the normalizer, over every H <= X
+    refs = all_subgroups(s4).refs
+    for X in refs:
+        for H in refs:
+            if X.contains(H):
+                expected = normalizer_bf(frozenset(_ref_to_set(X)), _ref_to_set(H))
+                assert _ref_to_set(normalizer(X, H)) == expected
 
 
 def test_normalizer_of_transposition_in_s3(s3):

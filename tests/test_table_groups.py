@@ -25,7 +25,13 @@ from flab.subgroups import (
     translate_mask,
 )
 
-from .oracles import center_bf, element_order_histogram, elements_of, quotient_by_permutations
+from .oracles import (
+    center_bf,
+    element_order_histogram,
+    elements_of,
+    quotient_by_permutations,
+    table_by_permutation_products,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,6 +176,20 @@ def test_table_and_conjugation_rows_match_permutation_products(spec):
         assert list(G.table[j]) == [idx[a * b] for a in elems]
         assert list(G.conj_row(j)) == [idx[a.conjugate(b)] for a in elems]
     assert [G.inv(i) for i in range(G.order)] == [idx[a.inverse()] for a in elems]
+
+
+def test_table_matches_permutation_product_oracle_on_corpus():
+    # groups from specs: the indexing, generators, table and inverse map read
+    # off the enumeration equal those built from Permutation products
+    groups = [entry.group for entry in build_corpus(200)] + [make_group("perm(0; ())")]
+    for G in groups:
+        elems, rows, inv = table_by_permutation_products(G)
+        assert G.elements() == elems, G.name
+        assert G.table == rows, G.name
+        assert G._inv == inv, G.name
+        idx = {p: i for i, p in enumerate(elems)}
+        assert G.identity_idx == idx[G.identity()]
+        assert G.gen_idxs() == tuple(idx[g] for g in G.generators), G.name
 
 
 def test_from_table_regular_representation():
