@@ -198,7 +198,11 @@ class StabilizerChain:
 
 
 def _typecode(n: int) -> str:
-    """Array typecode for the element indices of a group of order n."""
+    """Array typecode for the element indices of a group of order n: one
+    byte up to order 256, so that :meth:`Group._build_table` can compose
+    rows with ``bytes.translate``, else two bytes, or more past 32767."""
+    if n <= 256:
+        return "B"
     return "h" if n < 32768 else "l"
 
 
@@ -383,8 +387,10 @@ class Group:
         """Dense right-multiplication table: ``r_a[x] == index(elem[x] * elem[a])``.
 
         From the generators' rows of the enumeration, the row of g * a is
-        ``r_a`` gathered at ``r_g`` (x * g * a), one ``itemgetter(*r_g)`` per
-        generator, and the inverse of a is the x with ``r_a[x]`` the identity.
+        ``r_a`` gathered at ``r_g`` (x * g * a), and the inverse of a is the
+        x with ``r_a[x]`` the identity.  Up to order 256 rows are one byte
+        and the gather is ``bytes(r_g).translate(bytes(r_a) + pad)``, in C;
+        above it, one ``itemgetter(*r_g)`` per generator.
         """
         self.elements()
         n = self.order
@@ -395,16 +401,22 @@ class Group:
         for g, rg in zip(self.gen_idxs(), self._gen_rows):  # type: ignore[arg-type]
             rows[g] = rg
         self._gen_rows = None
-        gathers = [(g, itemgetter(*rows[g])) for g in self.gen_idxs()]
+        byte_rows = typecode == "B"
+        pad = bytes(256 - n) if byte_rows else b""
+        gathers = [
+            (g, rows[g].tobytes().translate if byte_rows else itemgetter(*rows[g]))  # type: ignore[union-attr,misc]
+            for g in self.gen_idxs()
+        ]
         frontier = [e, *self.gen_idxs()]
         while frontier:
             nxt = []
             for a in frontier:
                 ra = rows[a]
+                src = ra.tobytes() + pad if byte_rows else ra  # type: ignore[union-attr]
                 for g, gather in gathers:
                     b = ra[g]  # index of elem[g] * elem[a]
                     if rows[b] is None:
-                        rows[b] = array(typecode, gather(ra))
+                        rows[b] = array(typecode, gather(src))
                         nxt.append(b)
             frontier = nxt
         self._inv = array(typecode, (row.index(e) for row in rows))  # type: ignore[union-attr]
@@ -414,8 +426,10 @@ class Group:
     def table(self) -> list[array]:
         """The multiplication table: ``table[j][i]`` is the index of elements[i] * elements[j].
 
-        Built on first use for every enumerated group; at the element cap
-        (order 2000) it holds 2000 rows of 2000 two-byte entries, about 8 MB.
+        Built on first use for every enumerated group.  Rows are ``array``
+        objects of :func:`_typecode` entries: up to order 256 one byte each
+        (at most 256 rows of 256 bytes, 64 KB of entries); at the element cap
+        (order 2000) 2000 rows of 2000 two-byte entries, about 8 MB.
         """
         if self._table is None:
             self._build_table()

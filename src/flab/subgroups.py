@@ -9,6 +9,7 @@ the ambient group's elements and multiplication table.
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import gcd
 from operator import getitem
 from typing import Iterable, Sequence
 
@@ -438,7 +439,11 @@ def pi_elements(X: Group | SubgroupRef, pi: Iterable[int]) -> list[int]:
 
 
 def normal_subgroup_masks(X: Group | SubgroupRef) -> tuple[int, ...]:
-    """All X-normal subgroups of X as masks: normal closures of classes, closed under products."""
+    """All X-normal subgroups of X as masks: normal closures of classes, closed under products.
+
+    One closure per rational class: x^k with gcd(k, ord x) = 1 generates
+    <x>, so it has the normal closure of x and is marked seen with x's class.
+    """
     X = as_ref(X)
     G = X.ambient
     if X.is_full and G._normal_masks is not None:
@@ -450,6 +455,8 @@ def normal_subgroup_masks(X: Group | SubgroupRef) -> tuple[int, ...]:
     atoms = set()
     seen_elts = 1 << e
     conj_rows = [G.conj_row(g) for g in X.gen_idxs]
+    table = G.table
+    orders = G.elt_orders()
     for x in bits(X.mask):
         if (seen_elts >> x) & 1:
             continue
@@ -466,9 +473,14 @@ def normal_subgroup_masks(X: Group | SubgroupRef) -> tuple[int, ...]:
                     orbit.append(c)
                     pending.append(c)
         seen_elts |= orbit_mask
+        for c in orbit:
+            row, k, y = table[c], orders[c], c
+            for j in range(2, k):  # mark the generators c^j of <c>
+                y = row[y]  # c^j
+                if gcd(j, k) == 1:
+                    seen_elts |= 1 << y
         atoms.add(closure_mask(G, orbit))
     result = {1 << e} | atoms
-    table = G.table
     frontier = sorted(atoms)
     while frontier:
         nxt = []

@@ -19,8 +19,10 @@ the commutator subgroup as the closure of all |A|·|B| commutators, the set
 product one pair at a time, and the Fitting subgroup as the closure of the
 join of the O_p; and two kernels that now skip work: the subgroup lattice
 that joins each class representative with every prime-power cyclic
-subgroup outside it, ``subgroups_by_all_joins``, and the multiplication
-table built from Permutation products, ``table_by_permutation_products``),
+subgroup outside it, ``subgroups_by_all_joins``, the multiplication
+table built from Permutation products, ``table_by_permutation_products``,
+and the normal subgroups from one closure per conjugacy class,
+``normal_subgroup_masks_by_classes``),
 each the library's algorithm before its exact shortcut, before the lattice
 became its source, before it read sections as masks in the ambient group,
 before one routine served every caller, or before it was pruned.
@@ -677,3 +679,43 @@ def table_by_permutation_products(G):
         frontier = nxt
     inv = array(typecode, (idx[p.inverse()] for p in elems))
     return elems, rows, inv
+
+
+def normal_subgroup_masks_by_classes(X) -> tuple[int, ...]:
+    """Oracle for ``subgroups.normal_subgroup_masks``: one closure per
+    conjugacy class of X, with no marking of the other generators of each
+    element's cyclic subgroup; the atoms are closed under products, and
+    nothing is cached."""
+    from flab.subgroups import _set_product, as_ref, bits, closure_mask
+
+    X = as_ref(X)
+    G = X.ambient
+    e = G.identity_idx
+    atoms = set()
+    seen = 1 << e
+    conj_rows = [G.conj_row(g) for g in X.gen_idxs]
+    for x in bits(X.mask):
+        if (seen >> x) & 1:
+            continue
+        orbit = [x]
+        orbit_mask = 1 << x
+        for y in orbit:  # grows as new conjugates are found
+            for row in conj_rows:
+                c = row[y]
+                if not (orbit_mask >> c) & 1:
+                    orbit_mask |= 1 << c
+                    orbit.append(c)
+        seen |= orbit_mask
+        atoms.add(closure_mask(G, orbit))
+    result = {1 << e} | atoms
+    frontier = sorted(atoms)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in sorted(result):
+                joined = _set_product(G.table, a, b)
+                if joined not in result:
+                    result.add(joined)
+                    nxt.append(joined)
+        frontier = nxt
+    return tuple(sorted(result, key=lambda m: (m.bit_count(), m)))

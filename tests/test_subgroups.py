@@ -12,6 +12,7 @@ from flab.subgroups import (
     core,
     full_subgroup,
     is_normal_in,
+    normal_subgroup_masks,
     normalizer,
     o_pi,
     o_pi_up,
@@ -31,6 +32,7 @@ from .oracles import (
     commutator_subgroup_by_all_pairs,
     core_bf,
     elements_of,
+    normal_subgroup_masks_by_classes,
     normalizer_bf,
     o_pi_by_join,
     o_pi_up_by_normal_subgroups,
@@ -258,6 +260,32 @@ def test_commutators_and_products_agree_with_pair_oracles():
         for A in refs:
             for B in refs:
                 assert product_mask(G, A, B) == product_mask_by_pairs(G, A, B), (entry.name, A.order, B.order)
+
+
+def test_normal_subgroups_agree_with_class_oracle():
+    # one closure per rational class gives the atoms of one closure per
+    # conjugacy class, for the whole group and for every proper subgroup X
+    from flab.corpus import build_corpus
+
+    for entry in build_corpus(150):
+        G = entry.group
+        assert normal_subgroup_masks(G) == normal_subgroup_masks_by_classes(G), entry.name
+        if G.order <= 60:
+            for X in all_subgroups(G).refs:
+                assert normal_subgroup_masks(X) == normal_subgroup_masks_by_classes(X), (entry.name, X.order)
+
+
+@pytest.mark.parametrize("spec, closures", [("S4", 4), ("C12", 5)])
+def test_normal_subgroups_take_one_closure_per_rational_class(monkeypatch, spec, closures):
+    # S4: (12), (12)(34), (123), (1234); C12: one class per element order 2, 3, 4, 6, 12
+    import flab.subgroups
+
+    G = make_group(spec)
+    calls = []
+    real = flab.subgroups.closure_mask
+    monkeypatch.setattr(flab.subgroups, "closure_mask", lambda *a, **k: calls.append(a) or real(*a, **k))
+    normal_subgroup_masks(G)
+    assert len(calls) == closures
 
 
 def test_orbit_stabilizer_invariant(s4):

@@ -180,8 +180,12 @@ def test_table_and_conjugation_rows_match_permutation_products(spec):
 
 def test_table_matches_permutation_product_oracle_on_corpus():
     # groups from specs: the indexing, generators, table and inverse map read
-    # off the enumeration equal those built from Permutation products
-    groups = [entry.group for entry in build_corpus(200)] + [make_group("perm(0; ())")]
+    # off the enumeration equal those built from Permutation products; rows
+    # are one byte up to order 256 (D256: the largest, with no pad) and two
+    # bytes above it (S4 x D12, order 288)
+    boundary = [make_group("D256"), make_group("S4 x D12")]
+    assert [(G.order, G.table[0].typecode) for G in boundary] == [(256, "B"), (288, "h")]
+    groups = [entry.group for entry in build_corpus(200)] + [make_group("perm(0; ())")] + boundary
     for G in groups:
         elems, rows, inv = table_by_permutation_products(G)
         assert G.elements() == elems, G.name
