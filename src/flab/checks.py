@@ -39,7 +39,7 @@ from .formations import (
     boundary_counterexample_search,
     supports_local_definition,
 )
-from .groups import Group, quotient
+from .groups import Group, _split_top_level, quotient
 from .hypercenter import hypercenter
 from .intersections import (
     CYCLIC_PRIMARY,
@@ -516,21 +516,8 @@ def parse_partition(text: str) -> list[tuple[frozenset[int], bool]]:
     if text in PARTITION_PRESETS:
         return PARTITION_PRESETS[text]
     blocks: list[tuple[frozenset[int], bool]] = []
-    depth = 0
-    current = ""
-    parts = []
-    for ch in text:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch in ",;" and depth == 0:
-            parts.append(current)
-            current = ""
-        else:
-            current += ch
-    parts.append(current)
     seen: set[int] = set()
+    parts = [part for chunk in _split_top_level(text, ";") for part in _split_top_level(chunk, ",")]
     for part in parts:
         part = part.strip()
         if not part:

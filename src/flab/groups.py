@@ -4,12 +4,12 @@ A :class:`Group` is an immutable value built one of two ways.  A group from
 a spec (a named constructor, a product or ``perm(...)``) is given by its
 degree and generator list: order and membership come from a deterministic
 Schreier-Sims stabilizer chain, and its elements are enumerated on demand.
-A group from :meth:`Group.from_table` (quotients, subgroups as groups in
-their own right) is given by its multiplication table, built from its
-parent's table: its order is the number of rows, it builds no stabilizer
-chain, and permutations for its elements are made only if asked for.
-Either way the index multiplication table and other caches are populated
-lazily and written once.
+A group from :meth:`Group.from_table` (a quotient or any section X/N, read
+off the parent's right cosets by :func:`coset_group`, or an oracle product)
+is given by its multiplication table: its order is the number of rows, it
+builds no stabilizer chain, and its permutations, the right regular
+representation, are made only if asked for.  Either way the index
+multiplication table and other caches are populated lazily and written once.
 """
 
 from __future__ import annotations
@@ -229,7 +229,6 @@ class Group:
         self.name = name
         self._gen_idxs: tuple[int, ...] | None = None
         self._perm_of: Callable[[int], Permutation] | None = None
-        self.ambient_idxs: tuple[int, ...] | None = None
         self._chain: StabilizerChain | None = None
         self._order: int | None = None
         self._elements: tuple[Permutation, ...] | None = None
@@ -242,7 +241,6 @@ class Group:
         self._conj_rows: dict[int, array] = {}
         self._lattice = None
         self._normal_masks: tuple[int, ...] | None = None
-        self._subgroup_groups: dict[int, "Group"] = {}
         self._quotients: dict[int, "QuotientMap"] = {}
         self._hypercenters: dict = {}
         self._normal_masks_by_mask: dict[int, tuple[int, ...]] = {}
@@ -259,21 +257,19 @@ class Group:
         identity_idx: int,
         gen_idxs: Iterable[int],
         name: str | None = None,
-        perm_of: Callable[[int], Permutation] | None = None,
-        degree: int | None = None,
     ) -> "Group":
         """A group given by its multiplication table; it builds no stabilizer chain.
 
         ``rows`` and ``inv`` follow the conventions of :attr:`table` and
         :meth:`inv`; the identity and repeats are dropped from ``gen_idxs``.
-        Permutations are made only on request: ``perm_of(i)`` on ``degree``
-        points if given, else the right regular representation, in which
-        element i acts on the indices as ``rows[i]`` (``x -> x * i``).
+        Permutations are made only on request, in the right regular
+        representation: element i acts on the indices as ``rows[i]``
+        (``x -> x * i``).
         """
         order = len(rows)
-        G = cls(order if perm_of is None else degree, (), name)
+        G = cls(order, (), name)
         G._generators = None
-        G._perm_of = perm_of or (lambda i: Permutation._unsafe(tuple(rows[i])))
+        G._perm_of = lambda i: Permutation._unsafe(tuple(rows[i]))
         G._gen_idxs = tuple(g for g in dict.fromkeys(gen_idxs) if g != identity_idx)
         G._order = order
         G._identity_idx = identity_idx
@@ -832,15 +828,40 @@ class QuotientMap:
         return out
 
 
+def coset_group(
+    G: Group,
+    coset_of: Sequence[int],
+    reps: Sequence[int],
+    gen_idxs: Iterable[int],
+    name: str | None = None,
+) -> Group:
+    """The section X/N as a table group read off G's table.
+
+    ``coset_of`` and ``reps`` are :func:`right_cosets` of N within X, with N
+    normal in X, and ``gen_idxs`` are G-indices of generators of X.  Element
+    c is coset c: ``table[d][c]`` is the coset of ``reps[c] * reps[d]`` and
+    the inverse of c is the coset of ``reps[c]``'s inverse.
+    """
+    table = G.table
+    typecode = _typecode(len(reps))
+    rows = []
+    for b in reps:
+        row = table[b]  # a -> a * b
+        # a comprehension fills a row about twice as fast as a map chain
+        rows.append(array(typecode, [coset_of[row[a]] for a in reps]))
+    coset = coset_of.__getitem__
+    inv = array(typecode, map(coset, map(G.inv, reps)))
+    return Group.from_table(rows, inv, coset_of[G.identity_idx], map(coset, gen_idxs), name)
+
+
 def quotient(G: Group, normal_mask: int, normal_gen_idxs: Sequence[int]) -> QuotientMap:
     """Quotient of G by a normal subgroup given as an element-index mask.
 
     Coset ids are assigned in order of least contained element index, and
-    element c of the quotient is coset c, so the construction is
-    deterministic.  The quotient is a table group read off G's table:
-    ``table[d][c]`` is the coset of ``reps[c] * reps[d]``.  Asked for
-    permutations, its elements act on the cosets by right multiplication.
-    Maps are cached on the source group per normal subgroup.
+    element c of the quotient is coset c (:func:`coset_group`), so the
+    construction is deterministic.  Asked for permutations, its elements act
+    on the cosets by right multiplication.  Maps are cached on the source
+    group per normal subgroup.
     """
     cached = G._quotients.get(normal_mask)
     if cached is not None:
@@ -851,52 +872,12 @@ def quotient(G: Group, normal_mask: int, normal_gen_idxs: Sequence[int]) -> Quot
             if not (normal_mask >> G.conj(h, g)) & 1:
                 raise NotNormal("subgroup is not normal in the ambient group")
     coset_of, reps = right_cosets(G, (1 << G.order) - 1, normal_mask)
-    count = len(reps)
-    if count * normal_mask.bit_count() != G.order:
+    if len(reps) * normal_mask.bit_count() != G.order:
         raise InternalCheckFailure("quotient order mismatch")
-    table = G.table
-    typecode = _typecode(count)
-    coset = coset_of.__getitem__
-    rows = [array(typecode, map(coset, map(table[d].__getitem__, reps))) for d in reps]
-    inv = array(typecode, map(coset, map(G.inv, reps)))
-    quo = Group.from_table(
-        rows,
-        inv,
-        coset_of[G.identity_idx],
-        [coset_of[g] for g in gen_idxs],
-        name=f"{G.name}/N" if G.name else None,
-    )
+    quo = coset_group(G, coset_of, reps, gen_idxs, name=f"{G.name}/N" if G.name else None)
     qm = QuotientMap(G, quo, tuple(coset_of), tuple(reps))
     G._quotients[normal_mask] = qm
     return qm
-
-
-def restriction(G: Group, members: Sequence[int], gen_idxs: Iterable[int]) -> Group:
-    """The subgroup of G on the given ascending element indices, as a table group.
-
-    Its element i is G's element ``members[i]``, so its table is G's table
-    restricted to the members, its element permutations are G's own and
-    ``ambient_idxs`` records the members.  ``gen_idxs`` are G-indices of
-    generators; the caller guarantees the members form a subgroup.
-    """
-    rank = [-1] * G.order
-    for i, a in enumerate(members):
-        rank[a] = i
-    typecode = _typecode(len(members))
-    table = G.table
-    rank_of = rank.__getitem__
-    rows = [array(typecode, map(rank_of, map(table[a].__getitem__, members))) for a in members]
-    inv = array(typecode, map(rank_of, map(G.inv, members)))
-    sub = Group.from_table(
-        rows,
-        inv,
-        rank[G.identity_idx],
-        [rank[g] for g in gen_idxs],
-        perm_of=lambda i: G.perm_at(members[i]),
-        degree=G.degree,
-    )
-    sub.ambient_idxs = tuple(members)
-    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -912,15 +893,15 @@ def restriction(G: Group, members: Sequence[int], gen_idxs: Iterable[int]) -> Gr
 
 
 def _split_top_level(text: str, sep: str) -> list[str]:
-    """Split text at each occurrence of sep outside brackets."""
+    """Split text at each occurrence of sep outside (), [] and {} brackets."""
     parts = []
     depth = 0
     start = i = 0
     while i < len(text):
         ch = text[i]
-        if ch in "([":
+        if ch in "([{":
             depth += 1
-        elif ch in ")]":
+        elif ch in ")]}":
             depth -= 1
         elif depth == 0 and text.startswith(sep, i):
             parts.append(text[start:i])

@@ -17,7 +17,7 @@ from typing import Callable, Union
 
 from . import config
 from .errors import InternalCheckFailure, OracleCapExceeded
-from .groups import Group, QuotientMap, _typecode, quotient, right_cosets
+from .groups import Group, QuotientMap, _typecode, coset_group, quotient, right_cosets
 from .perms import Permutation
 from .series import ChiefFactor, _chief_masks_to, _minimal_normal_above
 from .subgroups import (
@@ -99,11 +99,13 @@ def _table_product(
     """
     table = G.table
     m = len(reps)
+    # H/K, with right multiplication factor_rows[d][c] = c * d
+    HK = coset_group(G, coset_of, reps, factor.above.gen_idxs)
+    factor_rows = HK.table
+    factor_inv = list(map(HK.inv, range(m)))
     A = acting.group
     a_table = A.table
     a_inv = [A.inv(a) for a in range(A.order)]
-    # right multiplication in H/K: factor_rows[d][c] = c * d
-    factor_rows = [[coset_of[x] for x in map(table[d].__getitem__, reps)] for d in reps]
     # the action: act[a][c] = c^a, conjugation by a representative of a
     act = []
     for g in acting.reps:
@@ -119,14 +121,13 @@ def _table_product(
             for a1 in range(A.order):
                 row += map((a_row[a1] * m).__add__, factor_rows[act[a_inv[a1]][c2]])
             rows.append(array(typecode, row))
-    factor_inv = [coset_of[G.inv(r)] for r in reps]
     inv = array(
         typecode,
         (a_inv[a] * m + act[a][factor_inv[c]] for a in range(A.order) for c in range(m)),
     )
-    c_e = coset_of[G.identity_idx]
+    c_e = HK.identity_idx
     a_e = A.identity_idx
-    gens = [a_e * m + coset_of[h] for h in factor.above.gen_idxs]
+    gens = [a_e * m + c for c in HK.gen_idxs()]
     gens += [a * m + c_e for a in A.gen_idxs()]
     return Group.from_table(rows, inv, a_e * m + c_e, gens, name="factor-action-product")
 

@@ -8,7 +8,6 @@ the ambient group's elements and multiplication table.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import gcd
 from operator import getitem
 from typing import Iterable, Sequence
@@ -16,7 +15,7 @@ from typing import Iterable, Sequence
 from .errors import NotASubgroup
 # bits, p_part and prime_factors stay importable from here for existing
 # callers; perfbench's tracer test reads the quotient binding of this module
-from .groups import Group, bits, p_part, prime_factors, quotient, restriction  # noqa: F401
+from .groups import Group, bits, p_part, prime_factors, quotient  # noqa: F401
 
 
 class SubgroupRef:
@@ -203,41 +202,6 @@ def full_subgroup(G: Group) -> SubgroupRef:
 
 def as_ref(X: Group | SubgroupRef) -> SubgroupRef:
     return X if isinstance(X, SubgroupRef) else full_subgroup(X)
-
-
-def subgroup_to_group(ref: SubgroupRef) -> Group:
-    """The subgroup as a Group in its own right (cached per mask).
-
-    A proper subgroup is a table group whose indexing is the ambient
-    group's restricted to the subgroup (see :func:`groups.restriction`); its
-    element permutations are the ambient group's own.
-    """
-    G = ref.ambient
-    cached = G._subgroup_groups.get(ref.mask)
-    if cached is None:
-        if ref.is_full:
-            cached = G
-        else:
-            cached = restriction(G, tuple(bits(ref.mask)), ref.gen_idxs)
-        G._subgroup_groups[ref.mask] = cached
-    return cached
-
-
-def translate_mask(X: SubgroupRef, mask: int) -> int:
-    """Map a mask of elements of X from the ambient indexing to that of ``subgroup_to_group(X)``.
-
-    Each element goes to its rank among the members of X (the subgroup
-    group's ``ambient_idxs`` maps back).  When X is the full group the two
-    indexings coincide.
-    """
-    sub = subgroup_to_group(X)
-    if sub is X.ambient:
-        return mask
-    members = sub.ambient_idxs
-    out = 0
-    for a in bits(mask):
-        out |= 1 << bisect_left(members, a)
-    return out
 
 
 def _require_subgroup(X: SubgroupRef, H: SubgroupRef) -> None:

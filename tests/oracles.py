@@ -450,18 +450,21 @@ def is_f_subnormal_by_any_chain(F, H, X) -> bool:
     of proper (not necessarily maximal) subgroups T > M, each with T/Core_T(M)
     in the class, decided on the step quotient itself."""
     from flab.formations import formation_member
-    from flab.groups import quotient
     from flab.lattice import all_subgroups
-    from flab.subgroups import as_ref, core, gens_for_mask, subgroup_to_group, translate_mask
+    from flab.subgroups import as_ref, bits, core
 
     X = as_ref(X)
-    refs = all_subgroups(X.ambient).refs
+    G = X.ambient
+    refs = all_subgroups(G).refs
     reached: dict[int, bool] = {}
+    subs: dict[int, object] = {}
 
     def step_ok(T, M) -> bool:
-        sub = subgroup_to_group(T)
-        kernel = translate_mask(T, core(T, M).mask)
-        return formation_member(F, quotient(sub, kernel, gens_for_mask(sub, kernel)).group)
+        if T.mask not in subs:
+            subs[T.mask] = _subgroup_group(T)[0]
+        sub = subs[T.mask]
+        kernel = sum(1 << sub.idx_of(G.perm_at(i)) for i in bits(core(T, M).mask))
+        return formation_member(F, _quotient_by(sub, kernel).group)
 
     def reach(T) -> bool:
         if T.mask == H.mask:
@@ -491,14 +494,17 @@ def o_pi_by_join(X, pi) -> int:
 
 
 def _subgroup_group(X):
-    """X as a group in its own right, and the map of its masks back to the ambient indexing."""
-    from flab.subgroups import as_ref, bits, subgroup_to_group
+    """X as a group in its own right, a permutation group built from its
+    generators, and the map of its masks back to the ambient indexing."""
+    from flab.groups import Group
+    from flab.subgroups import as_ref, bits
 
     X = as_ref(X)
-    sub = subgroup_to_group(X)
-    if sub is X.ambient:
-        return sub, lambda mask: mask
-    return sub, lambda mask: sum(1 << sub.ambient_idxs[i] for i in bits(mask))
+    G = X.ambient
+    if X.is_full:
+        return G, lambda mask: mask
+    sub = Group(G.degree, [G.perm_at(g) for g in X.gen_idxs])
+    return sub, lambda mask: sum(1 << G.idx_of(sub.perm_at(i)) for i in bits(mask))
 
 
 def _quotient_by(G, mask):

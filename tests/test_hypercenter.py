@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import pytest
@@ -231,6 +232,17 @@ def test_hypercenter_nilpow_sidorov_examples():
     from flab.intersections import f_maximal_intersection
 
     assert z2.mask == f_maximal_intersection(NilPow(2), s4).mask
+
+
+def test_nilpow_hypercenter_above_the_element_cap_stops_at_a_fixed_point():
+    # A5's chief factor gives an oracle product of order 3600, decided from
+    # stabilizer chains; the lower-central limit of an insoluble group does not
+    # shrink, so N^r stops iterating it and a huge r costs what r = 3 costs
+    G = make_group("A5")
+    start = time.perf_counter()
+    huge = hypercenter(NilPow(10**9), G)
+    assert time.perf_counter() - start < 2
+    assert huge.mask == hypercenter(NilPow(3), G).mask
 
 
 def test_each_chief_factor_decided_once(monkeypatch):

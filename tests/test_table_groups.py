@@ -1,9 +1,9 @@
-"""Table groups: quotients and subgroups built from the parent's table.
+"""Table groups: quotients and sections built from the parent's table.
 
 ``quotient`` is compared with the permutation-group construction it
 replaced (``oracles.quotient_by_permutations``) on corpus groups of order at
-most 60; ``subgroup_to_group`` and ``translate_mask`` are checked against the
-ambient group's own elements and table.
+most 60; ``coset_group``'s sections X/N are compared with the quotient of X
+built as a permutation group from its generators.
 """
 
 import functools
@@ -12,17 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flab.corpus import build_corpus
-from flab.groups import Group, StabilizerChain, make_group, quotient
+from flab.groups import Group, StabilizerChain, coset_group, make_group, quotient, right_cosets
 from flab.lattice import all_subgroups, lattice_summary
 from flab.subgroups import (
     bits,
     centralizer,
-    closure_mask,
     full_subgroup,
     gens_for_mask,
     normal_subgroup_masks,
-    subgroup_to_group,
-    translate_mask,
 )
 
 from .oracles import (
@@ -108,54 +105,41 @@ def test_quotient_and_subgroup_build_no_stabilizer_chain(monkeypatch):
             _order_histogram(Q)
             lattice_summary(Q)
         for ref in all_subgroups(G).refs:
-            sub = subgroup_to_group(ref)
-            assert sub.order == ref.order
-            _order_histogram(sub)
-            normal_subgroup_masks(sub)
+            for n_mask in normal_subgroup_masks(ref):
+                section = coset_group(G, *right_cosets(G, ref.mask, n_mask), ref.gen_idxs)
+                assert section.order * n_mask.bit_count() == ref.order
+                _order_histogram(section)
+                normal_subgroup_masks(section)
 
 
-# -- subgroups as groups ----------------------------------------------------------
+# -- sections X/N ------------------------------------------------------------------
 
 
-def test_subgroup_group_is_the_restricted_table():
-    G = make_group("SL(2,3)")
-    for ref in all_subgroups(G).refs:
-        sub = subgroup_to_group(ref)
-        if ref.is_full:
-            assert sub is G
-            continue
-        members = list(bits(ref.mask))
-        assert sub.ambient_idxs == tuple(members)
-        assert [sub.perm_at(i) for i in range(sub.order)] == [G.perm_at(a) for a in members]
-        for i, a in enumerate(members):
-            assert sub.inv(i) == members.index(G.inv(a))
-            assert sub.elt_order(i) == G.elt_order(a)
-            for j, b in enumerate(members):
-                assert members[sub.mul(i, j)] == G.mul(a, b)
-        assert sub.identity_idx == members.index(G.identity_idx)
-        assert closure_mask(sub, sub.gen_idxs()) == (1 << sub.order) - 1
-
-
-def test_translate_mask_round_trips_every_lattice_member():
+def test_coset_group_matches_quotient_of_the_permutation_built_subgroup():
+    # X built from its generators keeps G's relative index order (both sort by
+    # image tuple), so X/N read off G's cosets is that group's quotient, table
+    # for table; and the coset map carries G's products and inverses in X to X/N
     for entry in _corpus60():
         G = entry.group
-        lat = all_subgroups(G)
-        for i, X in enumerate(lat.refs):
-            sub = subgroup_to_group(X)
-            members = sub.ambient_idxs or range(G.order)  # the full group is its own subgroup group
-
-            def back(inner: int) -> int:
-                return sum(1 << members[k] for k in bits(inner))
-
-            full = (1 << sub.order) - 1
-            assert translate_mask(X, X.mask) == full
-            assert back(full) == X.mask
-            for j in lat.maximal_subgroup_idxs(i):
-                m = lat.refs[j].mask
-                inner = translate_mask(X, m)
-                assert inner.bit_count() == m.bit_count()
-                assert closure_mask(sub, bits(inner)) == inner  # still a subgroup of sub
-                assert back(inner) == m
+        for X in all_subgroups(G).refs:
+            members = list(bits(X.mask))
+            P = Group(G.degree, [G.perm_at(g) for g in X.gen_idxs])
+            assert [P.idx_of(G.perm_at(a)) for a in members] == list(range(P.order))
+            for n_mask in normal_subgroup_masks(X):
+                coset_of, reps = right_cosets(G, X.mask, n_mask)
+                S = coset_group(G, coset_of, reps, X.gen_idxs)
+                p_mask = sum(1 << members.index(a) for a in bits(n_mask))
+                Q = quotient(P, p_mask, gens_for_mask(P, p_mask)).group
+                assert (S.table, S._inv, S.identity_idx, S.gen_idxs()) == (
+                    Q.table,
+                    Q._inv,
+                    Q.identity_idx,
+                    Q.gen_idxs(),
+                ), (entry.name, X.order, n_mask.bit_count())
+                for a in members:
+                    assert S.inv(coset_of[a]) == coset_of[G.inv(a)]
+                    for b in members:
+                        assert S.mul(coset_of[a], coset_of[b]) == coset_of[G.mul(a, b)]
 
 
 # -- element orders and the table of enumerated groups ---------------------------
