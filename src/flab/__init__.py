@@ -1,9 +1,9 @@
 """flab: finite-group formation laboratory.
 
-Permutation groups with stabilizer-chain arithmetic, full subgroup lattices
-for small groups, a catalog of hereditary saturated group classes, the class
-hypercenter, and the subgroup-intersection operators built from maximal
-members, their normalizers, and subnormalizers.  The ``flab`` CLI verifies
+Permutation groups known by their capped element enumeration, full
+subgroup lattices for small groups, a catalog of hereditary saturated group
+classes, the class hypercenter, and the subgroup-intersection operators
+built from maximal members, their normalizers, and subnormalizers.  The ``flab`` CLI verifies
 the classical identities between these constructions over a corpus of small
 groups.
 """

@@ -2,13 +2,14 @@
 
 All caps are plain module constants; functions that honour a cap accept an
 override argument so callers (and the centrality oracle, which runs with a
-larger budget) can adjust per call.  Every group whose elements are
-enumerated (order at most ``ELEMENT_CAP``) gets a dense index multiplication
-table, about 8 MB at order 2000.
+larger budget) can adjust per call.  A group's order is the number of its
+elements, so the order cap is also the enumeration cap; every enumerated
+group gets a dense index multiplication table, about 8 MB at order 2000.
 """
 
 ORDER_CAP = 2000
-"""Largest group order `make_group` will construct."""
+"""Largest group order `make_group` will construct, and the default limit of
+``Group.elements``: the enumeration stops past this many elements."""
 
 PERM_DEGREE_CAP = ORDER_CAP
 """Largest degree of a ``perm(<n>; ...)`` spec; refused before any point is allocated.
@@ -17,11 +18,11 @@ Every group within ``ORDER_CAP`` acts faithfully on at most that many points
 (its regular representation), so no constructible group needs more.
 """
 
-ELEMENT_CAP = 2000
-"""Largest order for which full element enumeration is performed by default."""
-
 ORACLE_CAP = 10000
-"""Largest semidirect product the centrality oracle will build and test."""
+"""Largest factor-action product the centrality oracle will decide.
+
+Only the product of an abelian chief factor is built; its order is at most
+the group's.  A non-abelian factor's product is decided by its order alone."""
 
 LATTICE_SUBGROUP_BUDGET = 20000
 """Abort subgroup enumeration past this many subgroups."""

@@ -12,9 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import prod
-from typing import Any, Callable, Sequence, Union
+from typing import Any, Callable, Union
 
-from . import config
 from .errors import (
     CapExceeded,
     InternalCheckFailure,
@@ -22,9 +21,8 @@ from .errors import (
     SpecParseError,
 )
 # perfbench's tracer test reads the quotient binding of this module
-from .groups import Group, commutator_gens, coset_group, quotient, right_cosets  # noqa: F401
+from .groups import Group, coset_group, quotient, right_cosets  # noqa: F401
 from .lattice import SubgroupLattice, maximal_subgroups
-from .perms import Permutation
 from .series import derived_series, is_nilpotent, is_soluble
 from .subgroups import (
     SubgroupRef,
@@ -236,10 +234,9 @@ def formation_member(F: FormationExpr, X: Group | SubgroupRef) -> bool:
     ``N``; the iterated lower-central limit for ``N^r``; the derived series for
     ``Sol``; Huppert's criterion for ``U`` (supersoluble iff every maximal
     subgroup has prime index, read off the subgroup lattice); pi-element
-    counts for cross products.
+    counts for cross products.  A group known only by its order, and known
+    to be insoluble, is decided by :func:`insoluble_member`.
     """
-    if isinstance(X, Group) and X.order > config.ELEMENT_CAP:
-        return _member_large_group(F, X)
     return _memoised("member", F, as_ref(X), _member_ref)
 
 
@@ -266,66 +263,26 @@ def _memoised(kind: str, F: FormationExpr, X: SubgroupRef, decide: Callable) -> 
     return value
 
 
-def _member_large_group(F: FormationExpr, G: Group) -> bool:
-    """Membership without element enumeration (chain-based), where possible.
+def insoluble_member(F: FormationExpr, order: int) -> bool:
+    """Membership of an insoluble group known only by its order.
 
-    Solubility and ``N^r`` are read from :func:`_chain_series_end`; ``U`` and
-    cross classes are decided only when G is insoluble and a non-member.
+    Only a pi-class can hold an insoluble group: ``Gpi`` holds it when every
+    prime of the order is in pi, the soluble classes (``Sol``, ``Spi``,
+    ``N``, ``N^r``, ``U``) never do, and a cross class cannot when every
+    block meeting the order's primes has at most two primes (every
+    {p,q}-group is soluble).  Any other cross class needs the elements and
+    raises :class:`CapExceeded`.
     """
+    primes = prime_factors(order)
     if isinstance(F, Gpi):
-        return all(p in F.primes for p in prime_factors(G.order))
-    if isinstance(F, SolPi):
-        return all(p in F.primes for p in prime_factors(G.order)) and _soluble_by_chain(G)
-    if isinstance(F, Sol):
-        return _soluble_by_chain(G)
-    if isinstance(F, (Nil, NilPow)):
-        # the lower-central limit iterated r times, stopping at a fixed point:
-        # a limit as large as the group it was taken in is that group
-        gens, order = list(G.generators), G.order
-        for _ in range(F.r if isinstance(F, NilPow) else 1):
-            gens, limit_order = _chain_series_end(gens, G.degree, derived=False)
-            if limit_order in (1, order):
-                break
-            order = limit_order
-        return not gens
-    if isinstance(F, Supersoluble):
-        if not _soluble_by_chain(G):
-            return False
-        raise CapExceeded(
-            f"supersolubility test needs element enumeration; order {G.order}"
-        )
+        return all(p in F.primes for p in primes)
+    if isinstance(F, (Sol, SolPi, Nil, NilPow, Supersoluble)):
+        return False
     if isinstance(F, Cross):
-        relevant = partition_blocks_for(F, prime_factors(G.order))
-        if all(_burnside_small(primes) for primes, _ in relevant):
-            if not _soluble_by_chain(G):
-                return False
-        raise CapExceeded(f"cross membership needs element enumeration; order {G.order}")
+        if all(_burnside_small(pi) for pi, _ in partition_blocks_for(F, primes)):
+            return False
+        raise CapExceeded(f"cross membership of an insoluble group needs its elements; order {order}")
     raise TypeError(f"not a formation expression: {F!r}")
-
-
-def _soluble_by_chain(G: Group) -> bool:
-    return not _chain_series_end(G.generators, G.degree, derived=True)[0]
-
-
-def _chain_series_end(
-    gens: Sequence[Permutation], degree: int, derived: bool
-) -> tuple[list[Permutation], int]:
-    """Generators and order of the last term of the derived series of <gens>,
-    or of its lower central series when ``derived`` is false, from
-    stabilizer chains.
-
-    Each term is ``commutator_gens`` of the one before with itself (derived)
-    or with the whole group (lower central); the walk stops at the first term
-    whose order equals that of the term before.  The first term is always
-    taken, so a perfect group costs one more step and no chain of <gens> is
-    built.  The list is empty exactly when the last term is trivial.
-    """
-    current, order = list(gens), None
-    while True:
-        nxt, nxt_order = commutator_gens(current, current if derived else gens, degree)
-        if nxt_order == order:
-            return current, order
-        current, order = nxt, nxt_order
 
 
 def _member_ref(F: FormationExpr, X: SubgroupRef) -> bool:

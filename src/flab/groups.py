@@ -1,15 +1,17 @@
-"""Finite groups: stabilizer chains, named constructors, products, quotients.
+"""Finite groups: element enumeration, named constructors, products, quotients.
 
 A :class:`Group` is an immutable value built one of two ways.  A group from
 a spec (a named constructor, a product or ``perm(...)``) is given by its
-degree and generator list: order and membership come from a deterministic
-Schreier-Sims stabilizer chain, and its elements are enumerated on demand.
-A group from :meth:`Group.from_table` (a quotient or any section X/N, read
-off the parent's right cosets by :func:`coset_group`, or an oracle product)
-is given by its multiplication table: its order is the number of rows, it
-builds no stabilizer chain, and its permutations, the right regular
-representation, are made only if asked for.  Either way the index
-multiplication table and other caches are populated lazily and written once.
+degree and generator list: a breadth-first enumeration, which stops as soon
+as it passes the order cap, finds its elements, and its order is their
+number.  A group from :meth:`Group.from_table` (a quotient or any section
+X/N, read off the parent's right cosets by :func:`coset_group`, or an oracle
+product) is given by its multiplication table: its order is the number of
+rows, and its permutations, the right regular representation, are made only
+if asked for.  Either way the index multiplication table and other caches
+are populated lazily and written once.  :class:`StabilizerChain` (a
+deterministic Schreier-Sims chain) is kept as public API; no library path
+builds one.
 """
 
 from __future__ import annotations
@@ -229,7 +231,6 @@ class Group:
         self.name = name
         self._gen_idxs: tuple[int, ...] | None = None
         self._perm_of: Callable[[int], Permutation] | None = None
-        self._chain: StabilizerChain | None = None
         self._order: int | None = None
         self._elements: tuple[Permutation, ...] | None = None
         self._index: dict[Permutation, int] | None = None
@@ -258,7 +259,7 @@ class Group:
         gen_idxs: Iterable[int],
         name: str | None = None,
     ) -> "Group":
-        """A group given by its multiplication table; it builds no stabilizer chain.
+        """A group given by its multiplication table; its order is the number of rows.
 
         ``rows`` and ``inv`` follow the conventions of :attr:`table` and
         :meth:`inv`; the identity and repeats are dropped from ``gen_idxs``.
@@ -286,56 +287,58 @@ class Group:
         return self._generators
 
     @property
-    def chain(self) -> StabilizerChain:
-        if self._chain is None:
-            self._chain = StabilizerChain(self.degree, self.generators)
-        return self._chain
-
-    @property
     def order(self) -> int:
+        """The number of elements; a group given by generators is enumerated
+        for it, and one above the order cap raises :class:`CapExceeded`."""
         if self._order is None:
-            self._order = self.chain.order()
-        return self._order
+            self.elements()
+        return self._order  # type: ignore[return-value]
 
     @property
     def is_trivial(self) -> bool:
         return self.order == 1
 
     def __contains__(self, g: Permutation) -> bool:
-        return self.chain.contains(g)
+        return g in self.element_index()
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
     def __repr__(self) -> str:
         label = self.name or f"degree {self.degree}"
-        return f"<Group {label}, order {self.order}>"
+        try:
+            return f"<Group {label}, order {self.order}>"
+        except CapExceeded:
+            return f"<Group {label}, order above {config.ORDER_CAP}>"
 
     # -- element enumeration -------------------------------------------------
 
     def elements(self, limit: int | None = None) -> tuple[Permutation, ...]:
-        """All elements as permutations, in index order; errors if order exceeds the cap.
+        """All elements as permutations, in index order; errors if the order
+        exceeds ``limit`` (default ``ORDER_CAP``).
 
-        For a group built from generators this enumerates the group and fixes
-        its indexing (sorted by image tuple); a table group makes the
-        permutations of its existing indices.
+        For a group built from generators this enumerates the group, which
+        fixes its order and its indexing (sorted by image tuple); a table
+        group makes the permutations of its existing indices.
         """
+        cap = config.ORDER_CAP if limit is None else limit
         if self._elements is None:
-            cap = config.ELEMENT_CAP if limit is None else limit
-            if self.order > cap:
-                raise CapExceeded(f"order {self.order} exceeds element cap {cap}")
-            if self._perm_of is not None:
-                self._elements = tuple(map(self._perm_of, range(self.order)))
+            if self._perm_of is None:
+                self._elements = self._enumerate(cap)
+            elif self._order > cap:  # type: ignore[operator]
+                raise CapExceeded(f"order {self._order} exceeds cap {cap}")
             else:
-                self._elements = self._enumerate()
+                self._elements = tuple(map(self._perm_of, range(self._order)))  # type: ignore[arg-type]
         elif limit is not None and len(self._elements) > limit:
-            raise CapExceeded(f"order {self.order} exceeds element cap {limit}")
+            raise CapExceeded(f"order {len(self._elements)} exceeds cap {limit}")
         return self._elements
 
-    def _enumerate(self) -> tuple[Permutation, ...]:
+    def _enumerate(self, cap: int) -> tuple[Permutation, ...]:
         """Breadth-first search over image tuples that keeps each element's
         generator products as positions: once the elements are sorted, these
-        give the generators' indices and table rows (``_gen_rows``)."""
+        give the order, the generators' indices and table rows
+        (``_gen_rows``).  It raises :class:`CapExceeded` as soon as it has
+        found cap + 1 elements."""
         gens = [g.images for g in self.generators]
         found = [tuple(range(self.degree))]
         position = {found[0]: 0}
@@ -346,11 +349,11 @@ class Group:
                 y = image_of(q)
                 k = position.setdefault(y, len(found))
                 if k == len(found):
+                    if k == cap:
+                        raise CapExceeded(f"order exceeds cap {cap}")
                     found.append(y)
                 out.append(k)
-        n = len(found)
-        if n != self.order:
-            raise InternalCheckFailure("closure count disagrees with chain order")
+        n = self._order = len(found)
         order = sorted(range(n), key=found.__getitem__)
         rank = sorted(range(n), key=order.__getitem__)  # position -> index
         self._identity_idx = rank[0]
@@ -424,7 +427,7 @@ class Group:
 
         Built on first use for every enumerated group.  Rows are ``array``
         objects of :func:`_typecode` entries: up to order 256 one byte each
-        (at most 256 rows of 256 bytes, 64 KB of entries); at the element cap
+        (at most 256 rows of 256 bytes, 64 KB of entries); at the order cap
         (order 2000) 2000 rows of 2000 two-byte entries, about 8 MB.
         """
         if self._table is None:
@@ -501,39 +504,6 @@ class Group:
         if self._gen_idxs is None:
             self.elements()
         return self._gen_idxs  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
-# Chain-level commutator subgroups (no element enumeration required)
-# ---------------------------------------------------------------------------
-
-
-def commutator_gens(
-    a_gens: Sequence[Permutation], b_gens: Sequence[Permutation], degree: int
-) -> tuple[list[Permutation], int]:
-    """Generators and order of [A, B] for A = <a_gens> inside B = <b_gens>.
-
-    [A, B] is the normal closure in <A, B> = B of the commutators of the two
-    generator sets (Robinson, 5.1.7), grown by sifting into a stabilizer
-    chain: each commutator or conjugate that enlarges the chain is kept and
-    conjugated in turn by every generator of B.
-    """
-    chain = StabilizerChain(degree)
-    gens: list[Permutation] = []
-    for a in a_gens:
-        for b in b_gens:
-            c = a.commutator(b)
-            if chain.extend(c):
-                gens.append(c)
-    pending = list(gens)
-    while pending:
-        s = pending.pop()
-        for g in b_gens:
-            c = s.conjugate(g)
-            if chain.extend(c):
-                gens.append(c)
-                pending.append(c)
-    return gens, chain.order()
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +619,18 @@ def direct_product(a: Group, b: Group, name: str | None = None) -> Group:
         gens.append(Permutation(list(g.images) + list(range(a.degree, degree))))
     for g in b.generators:
         gens.append(Permutation(list(range(a.degree)) + [a.degree + v for v in g.images]))
-    out = Group(degree, gens, name=name or f"{a.name} x {b.name}")
-    if out.order != a.order * b.order:
-        raise InternalCheckFailure("direct product order mismatch")
-    return out
+    return _with_order(Group(degree, gens, name=name or f"{a.name} x {b.name}"), a.order * b.order)
+
+
+def _with_order(G: Group, order: int) -> Group:
+    """G, enumerated and checked to have the given order: the search stops
+    past ``order`` elements, so a wrong product costs at most order + 1."""
+    try:
+        if len(G.elements(order)) == order:
+            return G
+    except CapExceeded:
+        pass
+    raise InternalCheckFailure(f"constructed group does not have order {order}")
 
 
 def _extend_elementwise_map(
@@ -666,7 +644,7 @@ def _extend_elementwise_map(
     elems = N.elements()
     idx = N.element_index()
     for img in gen_images:
-        if img not in N:
+        if img not in idx:
             raise ActionError("generator image lies outside the target group")
     fmap: list[int | None] = [None] * len(elems)
     e = N.identity_idx
@@ -761,11 +739,7 @@ def semidirect_product(
         images = list(fj)
         images += [n_count + H.mul(y, gj) for y in range(h_count)]
         gens.append(Permutation(images))
-    label = name or f"sd({N.name},{H.name})"
-    out = Group(degree, gens, name=label)
-    if out.order != N.order * H.order:
-        raise InternalCheckFailure("semidirect product order mismatch")
-    return out
+    return _with_order(Group(degree, gens, name=name or f"sd({N.name},{H.name})"), N.order * H.order)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,7 +992,7 @@ def _parse_atom(text: str, cap: int) -> Group:
         n_spec, h_spec, action_text = args
         N = _parse_spec(n_spec, cap)
         H = _parse_spec(h_spec, cap)
-        # factor orders come from their chains; refuse before the action check enumerates them
+        # both factors are enumerated within the cap; refuse before the action check
         if N.order * H.order > cap:
             raise OrderCapExceeded(f"group order {N.order * H.order} of {text!r} exceeds cap {cap}")
         action = _parse_action(action_text, N, H)
@@ -1026,7 +1000,7 @@ def _parse_atom(text: str, cap: int) -> Group:
     if kind == "perm":
         degree, segments = args
         gens = [Permutation.parse(degree, seg) for seg in segments]
-        return Group(degree, gens, name=text)
+        return Group(degree, gens, name=text)  # enumerated within the cap by _parse_capped_atom
     if kind == "E" and prime_factors(args[0]) != [args[0]]:
         raise SpecParseError(f"{args[0]} is not prime in {text!r}")
     try:
@@ -1043,12 +1017,30 @@ def _split_factors(text: str) -> list[str]:
 
 
 def _parse_spec(text: str, cap: int) -> Group:
-    groups = [_parse_atom(f, cap) for f in _split_factors(text)]
-    result = groups[0]
-    for g in groups[1:]:
+    """The group of a spec, each atom and each direct product enumerated
+    within the cap; a refusal is an :class:`OrderCapExceeded`."""
+    atoms = _split_factors(text)
+    result = _parse_capped_atom(atoms[0], cap)
+    for atom in atoms[1:]:
+        g = _parse_capped_atom(atom, cap)
+        if result.order * g.order > cap:
+            raise OrderCapExceeded(
+                f"group order {result.order * g.order} of {text.strip()!r} exceeds cap {cap}"
+            )
         result = direct_product(result, g)
     result.name = text.strip()
     return result
+
+
+def _parse_capped_atom(text: str, cap: int) -> Group:
+    """An atom enumerated with the cap as its limit, so one above it costs
+    at most cap + 1 elements before it is refused."""
+    group = _parse_atom(text, cap)
+    try:
+        group.elements(cap)
+    except CapExceeded:
+        raise OrderCapExceeded(f"group order of {text.strip()!r} exceeds cap {cap}") from None
+    return group
 
 
 def _capped_product(factors: Iterable[int], cap: int) -> int:
@@ -1065,7 +1057,8 @@ def _order_bound(text: str, cap: int) -> int:
     """A lower bound on the order of the group a spec names, read from the text.
 
     Exact for C, D, S, A, E, Q8, SL(2,3), direct products and sd(...); a
-    perm(...) atom counts as 1, since its order needs a stabilizer chain.
+    perm(...) atom counts as 1, since its order is known only once its
+    elements are enumerated.
     Values above the cap come back as cap + 1.
     """
     return _capped_product((_atom_order_bound(f, cap) for f in _split_factors(text)), cap)
@@ -1094,16 +1087,14 @@ def make_group(spec: str, order_cap: int | None = None) -> Group:
     """Parse a group spec and construct the group; enforces the order cap.
 
     The cap is applied to the order read from the spec before anything is
-    built, to each sd(...) once its two factors are built and before its
-    action is checked, and again to the built group; each refusal is an
-    :class:`OrderCapExceeded`.  perm(...) atoms have orders known only from
-    their stabilizer chains, so the two later checks catch them; neither
-    enumerates an element.
+    built, then to each atom, direct product and sd(...) as it is built: an
+    atom is enumerated with the cap as the limit, so a perm(...) atom above
+    it costs at most cap + 1 elements, and a product is refused from its
+    factors' orders before it is built (an sd(...) before its action is
+    checked).  Each refusal is an :class:`OrderCapExceeded`, and the group
+    returned is enumerated.
     """
     cap = config.ORDER_CAP if order_cap is None else order_cap
     if _order_bound(spec, cap) > cap:
         raise OrderCapExceeded(f"group order of {spec!r} exceeds cap {cap}")
-    group = _parse_spec(spec, cap)
-    if group.order > cap:
-        raise OrderCapExceeded(f"group order {group.order} of {spec!r} exceeds cap {cap}")
-    return group
+    return _parse_spec(spec, cap)

@@ -1,12 +1,14 @@
 """Centrality of chief factors and the class hypercenter.
 
-Two independent centrality tests are provided: the oracle builds the
-semidirect product of the factor with the acting quotient and tests class
-membership; the local test checks membership of the acting section
-G/C_G(H/K), decided in G itself, in the canonical local class at each
-relevant prime.  The hypercenter is computed by
-greedy ascent through minimal normal subgroups and then re-verified; both
-read one cached verdict per chief factor, class and method.
+Two independent centrality tests are provided: the oracle tests class
+membership of the semidirect product of the factor with the acting
+quotient, built as a table group for an abelian factor and known by its
+order alone, as an insoluble group, for a non-abelian one; the local test
+checks membership of the acting section G/C_G(H/K), decided in G itself, in
+the canonical local class at each relevant prime.  The hypercenter is
+computed by greedy ascent through minimal normal subgroups and then
+re-verified; both read one cached verdict per chief factor, class and
+method.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import Callable, Union
 from . import config
 from .errors import InternalCheckFailure, OracleCapExceeded
 from .groups import Group, QuotientMap, _typecode, coset_group, quotient, right_cosets
-from .perms import Permutation
 from .series import ChiefFactor, _chief_masks_to, _minimal_normal_above
 from .subgroups import (
     SubgroupRef,
@@ -31,6 +32,7 @@ from .formations import (
     FormationExpr,
     formation_key,
     formation_member,
+    insoluble_member,
     local_def_member,
     supports_local_definition,
 )
@@ -56,32 +58,31 @@ def build_factor_action_product(G: Group, factor: ChiefFactor, cap: int | None =
     """The semidirect product (H/K) x| (G/C) with the conjugation action.
 
     The quotient G/C embeds in the automorphisms of the factor (C is exactly
-    the kernel), so the product has order |H/K| * |G/C|.  Up to
-    ``ELEMENT_CAP`` it is a table group read off G's table; above it, it is a
-    permutation group on the cosets of K in H, because membership beyond the
-    element cap is decided from a stabilizer chain.  Cached on G per factor;
-    the cache is read first, so a cached product costs no centralizer scan.
+    the kernel), so the product has order |H/K| * |G/C|.  It is built, as a
+    table group read off G's table, only for an abelian factor: then H <= C,
+    so the order is at most |G/K|.  A non-abelian factor, or a product above
+    the cap, raises :class:`OracleCapExceeded`.  Cached on G per factor; the
+    cache is read first, so a cached product costs no centralizer scan.
     """
-    cap = config.ORACLE_CAP if cap is None else cap
     cache_key = (factor.below.mask, factor.above.mask)
     W = G._factor_products.get(cache_key)
-    if W is None:
-        cent, acting = _factor_quotient_data(G, factor)
-        order = factor.order * acting
-    else:
-        order = W.order
+    if W is not None:
+        _check_oracle_cap(W.order, cap)
+        return W
+    cent, acting = _factor_quotient_data(G, factor)
+    _check_oracle_cap(factor.order * acting, cap)
+    if len(factor.primes()) > 1:
+        raise OracleCapExceeded(f"no product is built for a non-abelian factor of order {factor.order}")
+    coset_of, reps = right_cosets(G, factor.above.mask, factor.below.mask)
+    W = _table_product(G, factor, coset_of, reps, quotient(G, cent.mask, cent.gen_idxs))
+    G._factor_products[cache_key] = W
+    return W
+
+
+def _check_oracle_cap(order: int, cap: int | None) -> None:
+    cap = config.ORACLE_CAP if cap is None else cap
     if order > cap:
         raise OracleCapExceeded(f"product order {order} exceeds the oracle cap {cap}")
-    if W is None:
-        coset_of, reps = right_cosets(G, factor.above.mask, factor.below.mask)
-        if order <= config.ELEMENT_CAP:
-            W = _table_product(G, factor, coset_of, reps, quotient(G, cent.mask, cent.gen_idxs))
-        else:
-            W = _permutation_product(G, factor, coset_of, reps)
-            if W.order != order:
-                raise InternalCheckFailure("oracle product has unexpected order")
-        G._factor_products[cache_key] = W
-    return W
 
 
 def _table_product(
@@ -132,30 +133,25 @@ def _table_product(
     return Group.from_table(rows, inv, a_e * m + c_e, gens, name="factor-action-product")
 
 
-def _permutation_product(
-    G: Group, factor: ChiefFactor, coset_of: list[int], reps: list[int]
-) -> Group:
-    """(H/K) x| (G/C) on the cosets of K in H: the factor acts by right
-    translation and G by conjugation, which is faithful modulo C."""
-    m = len(reps)
-    gens = []
-    for h in factor.above.gen_idxs:
-        gens.append(Permutation(coset_of[G.mul(reps[c], h)] for c in range(m)))
-    for g in G.gen_idxs():
-        ginv = G.inv(g)
-        gens.append(
-            Permutation(coset_of[G.mul(G.mul(ginv, reps[c]), g)] for c in range(m))
-        )
-    return Group(m, gens, name="factor-action-product")
-
-
 def is_f_central_oracle(
     test: MembershipTest, G: Group, factor: ChiefFactor, cap: int | None = None
 ) -> CentralityVerdict:
-    """Centrality by constructing the factor-action product and testing membership.
+    """Centrality by testing membership of the factor-action product W.
 
-    The acting order is read off the product, whose order is |H/K|·|G/C|.
+    For an abelian factor W is built and the acting order read off it.  A
+    non-abelian factor has an insoluble W of order |H/K|·|G/C|; no group is
+    built, the class is decided by :func:`insoluble_member`, and a callable
+    predicate, which needs the group, raises :class:`OracleCapExceeded`.
     """
+    if len(factor.primes()) > 1:
+        _, acting = _factor_quotient_data(G, factor)
+        order = factor.order * acting
+        _check_oracle_cap(order, cap)
+        if callable(test):
+            raise OracleCapExceeded(
+                f"a predicate needs the product of a non-abelian factor of order {factor.order}"
+            )
+        return CentralityVerdict(factor, insoluble_member(test, order), "oracle", acting, order)
     W = build_factor_action_product(G, factor, cap)
     member = test(W) if callable(test) else formation_member(test, W)
     return CentralityVerdict(factor, member, "oracle", W.order // factor.order, W.order)

@@ -11,9 +11,10 @@ primary subgroups by one closure per element, Sylow nilpotency, cross
 membership through O_pi, the permutation-built oracle product, the
 per-member subnormalizer and normalizer intersections, O^pi as an
 intersection of normal subgroups, supersolubility by chief factors,
-subnormality along any chain of step quotients, O_pi as the join of the
-normal pi-subgroups, the section decisions made on quotient or subgroup
-groups: the local class test, O_{p',p}, the Fitting length and the chief
+subnormality along any chain of step quotients, the chain-level derived
+and lower central series with the membership rule read from them, O_pi as
+the join of the normal pi-subgroups, the section decisions made on quotient
+or subgroup groups: the local class test, O_{p',p}, the Fitting length and the chief
 series of a subgroup, and the constructions that now have one kernel each:
 the commutator subgroup as the closure of all |A|·|B| commutators, the set
 product one pair at a time, and the Fitting subgroup as the closure of the
@@ -395,6 +396,93 @@ def factor_action_product_by_permutations(G, factor):
         for g in G.gen_idxs()
     ]
     return Group(m, gens, name="factor-action-product")
+
+
+def commutator_gens(a_gens, b_gens, degree):
+    """Generators and order of [A, B] for A = <a_gens> inside B = <b_gens>,
+    from a stabilizer chain, with no element enumeration.
+
+    [A, B] is the normal closure in <A, B> = B of the commutators of the two
+    generator sets (Robinson, 5.1.7), grown by sifting into a stabilizer
+    chain: each commutator or conjugate that enlarges the chain is kept and
+    conjugated in turn by every generator of B.
+    """
+    from flab.groups import StabilizerChain
+
+    chain = StabilizerChain(degree)
+    gens = []
+    for a in a_gens:
+        for b in b_gens:
+            c = a.commutator(b)
+            if chain.extend(c):
+                gens.append(c)
+    pending = list(gens)
+    while pending:
+        s = pending.pop()
+        for g in b_gens:
+            c = s.conjugate(g)
+            if chain.extend(c):
+                gens.append(c)
+                pending.append(c)
+    return gens, chain.order()
+
+
+def chain_series_end(gens, degree, derived):
+    """Generators and order of the last term of the derived series of <gens>,
+    or of its lower central series when ``derived`` is false, from
+    stabilizer chains: each term is ``commutator_gens`` of the one before
+    with itself (derived) or with the whole group (lower central), and the
+    walk stops at the first term whose order equals that of the term before.
+    The list is empty exactly when the last term is trivial."""
+    current, order = list(gens), None
+    while True:
+        nxt, nxt_order = commutator_gens(current, current if derived else gens, degree)
+        if nxt_order == order:
+            return current, order
+        current, order = nxt, nxt_order
+
+
+def member_by_chain(F, gens, degree):
+    """The chain-level membership rule that decided oracle products above
+    the element enumeration limit, for ``formations.insoluble_member``.
+
+    Solubility and ``N^r`` come from :func:`chain_series_end`; ``U`` and
+    cross classes are decided only for an insoluble non-member and raise
+    ``CapExceeded`` otherwise.
+    """
+    from flab.errors import CapExceeded
+    from flab.formations import Cross, Gpi, Nil, NilPow, Sol, SolPi, Supersoluble, partition_blocks_for
+    from flab.groups import StabilizerChain, prime_factors
+
+    order = StabilizerChain(degree, gens).order()
+    primes = prime_factors(order)
+
+    def soluble():
+        return not chain_series_end(gens, degree, derived=True)[0]
+
+    if isinstance(F, Gpi):
+        return all(p in F.primes for p in primes)
+    if isinstance(F, SolPi):
+        return all(p in F.primes for p in primes) and soluble()
+    if isinstance(F, Sol):
+        return soluble()
+    if isinstance(F, (Nil, NilPow)):
+        current, current_order = list(gens), order
+        for _ in range(F.r if isinstance(F, NilPow) else 1):
+            current, limit_order = chain_series_end(current, degree, derived=False)
+            if limit_order in (1, current_order):
+                break
+            current_order = limit_order
+        return not current
+    if isinstance(F, Supersoluble):
+        if not soluble():
+            return False
+        raise CapExceeded("supersolubility needs element enumeration")
+    if isinstance(F, Cross):
+        if all(len(pi) <= 2 for pi, _ in partition_blocks_for(F, primes)) and not soluble():
+            return False
+        raise CapExceeded("cross membership needs element enumeration")
+    raise TypeError(F)
 
 
 def subnormalizer_intersection_per_member(F, sigma, X):

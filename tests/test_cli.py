@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -258,7 +259,7 @@ def test_unreadable_corpus_path_exits_2(tmp_path, capsys):
         (["lattice", "--group", "C2001"], "group order of 'C2001' exceeds cap 2000"),
         (
             ["analyze", "--group", "perm(7; (0 1 2 3 4 5 6); (0 1))"],
-            "group order 5040 of 'perm(7; (0 1 2 3 4 5 6); (0 1))' exceeds cap 2000",
+            "group order of 'perm(7; (0 1 2 3 4 5 6); (0 1))' exceeds cap 2000",
         ),
     ],
     ids=["analyze-C2001", "analyze-S100", "lattice-C2001", "analyze-perm-S7"],
@@ -268,6 +269,19 @@ def test_over_cap_spec_exits_2(argv, message, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+def test_over_cap_perm_of_largest_degree_exits_2_quickly(capsys):
+    # S_2000 at the degree cap: the enumeration stops past 2000 elements
+    spec = "perm(2000; (0 1); (" + " ".join(map(str, range(2000))) + "))"
+    start = time.perf_counter()
+    code = main(["analyze", "--group", spec])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: group order of 'perm(2000; (0 1); (0 1 2 ")
+    assert err.endswith(" 1999))' exceeds cap 2000\n")
+    assert elapsed < 5
 
 
 def test_over_cap_corpus_line_exits_2(tmp_path, capsys):

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 import flab.formations as formations_mod
-from flab import config
 from flab.corpus import build_corpus
 from flab.errors import CapExceeded, LocalDefinitionUnavailable, SpecParseError
 from flab.formations import (
@@ -15,11 +14,11 @@ from flab.formations import (
     SOL,
     SUPERSOLUBLE,
     SolPi,
-    _member_large_group,
     boundary_counterexample_search,
     format_formation,
     formation_member,
     formation_residual,
+    insoluble_member,
     local_def_member,
     member_bits,
     parse_formation,
@@ -27,12 +26,20 @@ from flab.formations import (
     residual_mask,
     supports_local_definition,
 )
-from flab.groups import direct_product, make_group, quotient
+from flab.groups import StabilizerChain, make_group, quotient
 from flab.lattice import all_subgroups
-from flab.series import is_soluble, normal_subgroups
+from flab.perms import Permutation
+from flab.series import chief_factors, normal_subgroups
 from flab.subgroups import bits, full_subgroup, subgroup_from_mask
 
-from .oracles import is_nilpotent_bf, is_supersoluble_bf, elements_of, local_def_member_by_quotient
+from .oracles import (
+    elements_of,
+    factor_action_product_by_permutations,
+    is_nilpotent_bf,
+    is_supersoluble_bf,
+    local_def_member_by_quotient,
+    member_by_chain,
+)
 
 
 CROSS_235 = parse_formation("cross[{2,3}:gpi;{5}:gpi]")
@@ -125,17 +132,9 @@ def test_solpi_membership():
     assert not formation_member(SolPi(frozenset({2, 3, 5})), make_group("A5"))
 
 
-# -- chain-only membership above the element cap -------------------------------
+# -- insoluble groups known by their order ------------------------------------
 
-# Orders 2001-10000 arise only as centrality-oracle products; formation_member
-# decides them from stabilizer chains, without enumerating elements.
-_LARGE_VERDICTS = {
-    # (Gpi{2,3}, SolPi{2,3}, Sol, N, N^2, N^3, U, cross[{2,3}:gpi])
-    "C64 x C64": (True, True, True, True, True, True, CapExceeded, CapExceeded),
-    "D80 x D80": (False, False, True, False, True, True, CapExceeded, CapExceeded),
-    "A5 x A5": (False, False, False, False, False, False, False, False),
-    "S4 x S4 x C5": (False, False, True, False, False, True, CapExceeded, CapExceeded),
-}
+# the classes the chain-level rule decided above the element enumeration limit
 _LARGE_CLASSES = (
     Gpi(frozenset({2, 3})),
     SolPi(frozenset({2, 3})),
@@ -146,44 +145,49 @@ _LARGE_CLASSES = (
     SUPERSOLUBLE,
     parse_formation("cross[{2,3}:gpi]"),
 )
+_WIDE_CLASSES = (
+    Gpi(frozenset({2, 3, 5})),
+    NilPow(10**9),
+    parse_formation("cross[{2,3};{5}]"),
+    parse_formation("cross[{2,3,5}:gpi]"),
+    parse_formation("cross[{2,3,5}:spi]"),
+)
 
 
-@pytest.mark.parametrize("spec", sorted(_LARGE_VERDICTS))
-def test_chain_only_membership_above_element_cap(spec):
-    factors = [make_group(part) for part in spec.split(" x ")]
-    G = factors[0]
-    for H in factors[1:]:
-        G = direct_product(G, H)
-    assert config.ELEMENT_CAP < G.order <= config.ORACLE_CAP
-    for F, expected in zip(_LARGE_CLASSES, _LARGE_VERDICTS[spec]):
-        if expected is CapExceeded:
-            with pytest.raises(CapExceeded):
-                formation_member(F, G)
-        else:
-            assert formation_member(F, G) is expected, format_formation(F)
-    assert G._elements is None  # decided without enumerating elements
+def _insoluble_groups_above_the_cap():
+    """(generators, degree) of A5 x A5 and of the factor-action products of
+    the non-abelian chief factors of A5 and S5 (orders 3600 and 7200)."""
+    a5 = make_group("A5").generators
+    out = [
+        (
+            [Permutation(list(g.images) + list(range(5, 10))) for g in a5]
+            + [Permutation(list(range(5)) + [5 + v for v in g.images]) for g in a5],
+            10,
+        )
+    ]
+    for spec in ("A5", "S5"):
+        G = make_group(spec)
+        for factor in chief_factors(G):
+            if len(factor.primes()) > 1:
+                W = factor_action_product_by_permutations(G, factor)
+                out.append((list(W.generators), W.degree))
+    return out
 
 
-def test_chain_membership_agrees_with_table_membership_on_corpus():
-    # the chain rule, which decides groups above the element cap, run on small
-    # groups: solubility, N^r and pi classes match formation_member; U and
-    # cross classes are decided on insoluble groups and refused on soluble ones
-    chain_decided = (NIL, NilPow(2), NilPow(3), SOL, Gpi(frozenset({2, 3})), SolPi(frozenset({2, 3})))
-    enumeration_needed = (SUPERSOLUBLE, parse_formation("cross[{2,3}:gpi]"))
-    names = set()
-    for entry in build_corpus(120):
-        G = entry.group
-        names.add(entry.name)
-        for F in chain_decided:
-            assert _member_large_group(F, G) == formation_member(F, G), (entry.name, format_formation(F))
-        for F in enumeration_needed:
-            if is_soluble(G):
+def test_insoluble_order_rule_matches_chain_rule():
+    orders = []
+    for gens, degree in _insoluble_groups_above_the_cap():
+        order = StabilizerChain(degree, gens).order()
+        orders.append(order)
+        for F in _LARGE_CLASSES + _WIDE_CLASSES:
+            try:
+                expected = member_by_chain(F, gens, degree)
+            except CapExceeded:
                 with pytest.raises(CapExceeded):
-                    _member_large_group(F, G)
+                    insoluble_member(F, order)
             else:
-                assert _member_large_group(F, G) is False
-                assert not formation_member(F, G)
-    assert {"A5", "S5"} <= names
+                assert insoluble_member(F, order) is expected, (order, format_formation(F))
+    assert orders == [3600, 3600, 7200]
 
 
 # -- closure properties (corpus-tested) ----------------------------------------

@@ -6,27 +6,28 @@ from hypothesis import given, settings, strategies as st
 import flab.groups as groups_mod
 from flab import config
 from flab.corpus import build_corpus
-from flab.errors import ActionError, CapExceeded, NotNormal, SpecParseError
+from flab.errors import ActionError, CapExceeded, NotNormal, OrderCapExceeded, SpecParseError
 from flab.groups import (
     Group,
+    StabilizerChain,
     cyclic,
     dihedral,
-    commutator_gens,
     direct_product,
     make_group,
     quaternion8,
     quotient,
     semidirect_product,
     special_linear_2_3,
+    symmetric,
 )
 from flab.perms import Permutation
 from flab.lattice import all_subgroups
 from flab.subgroups import commutator_subgroup, full_subgroup, subgroup_from_idxs
 
-from .oracles import closure, element_order_histogram, elements_of
+from .oracles import closure, commutator_gens, element_order_histogram, elements_of
 
 
-# -- stabilizer chain ---------------------------------------------------------
+# -- orders: the enumeration and the stabilizer-chain oracle ------------------
 
 
 @pytest.mark.parametrize(
@@ -50,6 +51,30 @@ from .oracles import closure, element_order_histogram, elements_of
 )
 def test_make_group_orders(spec, order):
     assert make_group(spec).order == order
+
+
+def test_enumerated_order_matches_stabilizer_chain_on_corpus():
+    for entry in build_corpus():
+        G = entry.group
+        assert G.order == StabilizerChain(G.degree, G.generators).order(), entry.name
+
+
+def test_enumeration_stops_past_the_cap():
+    # S_2000 is refused once cap + 1 elements are found, and nothing is cached
+    degree = config.PERM_DEGREE_CAP
+    G = symmetric(degree)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        G.order
+    with pytest.raises(CapExceeded):
+        G.elements(limit=50)
+    assert G._elements is None and G._order is None
+    assert repr(G) == "<Group S2000, order above 2000>"
+    assert time.perf_counter() - start < 1.0
+    S5 = symmetric(5)
+    with pytest.raises(CapExceeded):
+        S5.elements(limit=119)
+    assert len(S5.elements(limit=120)) == S5.order == 120
 
 
 def test_chain_order_matches_bruteforce_closure():
@@ -133,15 +158,20 @@ def test_perm_degree_cap_refuses_before_allocating(monkeypatch):
         "sd(perm(6; (0 1 2 3 4 5); (0 1)),C2,n0->n0,n1->n1)",
         "sd(C2,perm(6; (0 1 2 3 4 5); (0 1)),n0->n0|n0->n0)",
         "C2 x sd(C3 x perm(5; (0 1 2 3 4); (0 1)),C2,n0->n0,n1->n1)",
+        "perm(6; (0 1 2 3 4 5); (0 1))",
     ],
 )
 def test_order_cap_refuses_perm_factor_before_enumerating(spec, monkeypatch):
+    # the perm factor, or the direct product holding it, is refused within the
+    # cap before the action check enumerates anything of the sd(...)
     def refuse(*args, **kwargs):
-        raise AssertionError("elements enumerated before the cap check")
+        raise AssertionError("action checked before the cap check")
 
-    monkeypatch.setattr(groups_mod.Group, "elements", refuse)
-    with pytest.raises(CapExceeded):
+    monkeypatch.setattr(groups_mod, "_extend_elementwise_map", refuse)
+    start = time.perf_counter()
+    with pytest.raises(OrderCapExceeded):
         make_group(spec, order_cap=200)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_order_read_from_spec_matches_built_order():

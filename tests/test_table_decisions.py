@@ -8,12 +8,13 @@ the lattice are each compared with their former algorithm in ``oracles.py``.
 
 from collections import Counter
 
-from flab import config
+import pytest
+
 from flab.corpus import _FIXED_PRODUCTS, build_corpus
 from flab.errors import OracleCapExceeded
 from flab.formations import NIL, formation_member, parse_formation
-from flab.groups import make_group
-from flab.hypercenter import build_factor_action_product
+from flab.groups import StabilizerChain, make_group
+from flab.hypercenter import build_factor_action_product, is_f_central_oracle
 from flab.intersections import (
     CYCLIC_PRIMARY,
     SYLOW,
@@ -25,13 +26,15 @@ from flab.intersections import (
 from flab import lattice
 from flab.lattice import all_subgroups, cyclic_primary_subgroups, maximal_subgroups, sylow_subgroups
 from flab.series import chief_factors, is_nilpotent
-from flab.subgroups import conjugacy_orbit, prime_factors
+from flab.subgroups import centralizer_of_factor, conjugacy_orbit, prime_factors
 
 from .oracles import (
+    chain_series_end,
     cross_member_by_o_pi,
     cyclic_primary_by_closure,
     factor_action_product_by_permutations,
     is_nilpotent_by_sylow,
+    member_by_chain,
     normalizer_intersection_per_member,
     subnormalizer_intersection_per_member,
     sylow_subgroup_by_growth,
@@ -65,24 +68,34 @@ def test_cross_membership_by_pi_elements_matches_o_pi_oracle():
 
 
 def test_table_product_matches_permutation_oracle():
-    decided = Counter()
+    # an abelian factor's table product against the permutation-built one; a
+    # non-abelian factor's product is not built, and the permutation-built
+    # one is insoluble of order |H/K|·|G/C|, decided as the old chain rule did
+    abelian, non_abelian = 0, []
     for G in _corpus(150):
         for factor in chief_factors(G):
-            try:
-                W = build_factor_action_product(G, factor)
-            except OracleCapExceeded:
-                continue
             oracle = factor_action_product_by_permutations(G, factor)
-            assert W.order == oracle.order, (G.name, factor.order)
-            table_built = W._table is not None
-            assert table_built == (W.order <= config.ELEMENT_CAP)
-            if table_built:
-                _assert_group_table(W)
-                assert Counter(W.elt_orders()) == Counter(oracle.elt_orders()), (G.name, factor.order)
+            if len(factor.primes()) > 1:
+                with pytest.raises(OracleCapExceeded):
+                    build_factor_action_product(G, factor)
+                gens, degree = list(oracle.generators), oracle.degree
+                acting = G.order // centralizer_of_factor(G, factor.above, factor.below).order
+                assert StabilizerChain(degree, gens).order() == factor.order * acting, G.name
+                assert chain_series_end(gens, degree, derived=True)[0], G.name  # insoluble
+                for F in _PRODUCT_CLASSES:
+                    verdict = is_f_central_oracle(F, G, factor)
+                    assert verdict.product_order == factor.order * acting
+                    assert verdict.central == member_by_chain(F, gens, degree), (G.name, F)
+                non_abelian.append((G.name, factor.order * acting))
+                continue
+            W = build_factor_action_product(G, factor)
+            assert W.order == oracle.order <= G.order // factor.below.order, (G.name, factor.order)
+            _assert_group_table(W)
+            assert Counter(W.elt_orders()) == Counter(oracle.elt_orders()), (G.name, factor.order)
             for F in _PRODUCT_CLASSES:
                 assert formation_member(F, W) == formation_member(F, oracle), (G.name, factor.order, F)
-            decided[table_built] += 1
-    assert decided[True] > 600 and decided[False] > 0
+            abelian += 1
+    assert abelian > 600 and non_abelian == [("A5", 3600), ("S5", 7200)]
 
 
 def _assert_group_table(W):

@@ -11,6 +11,7 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flab.checks import DEFAULT_SUITE, run_checks
 from flab.corpus import build_corpus
 from flab.groups import Group, StabilizerChain, coset_group, make_group, quotient, right_cosets
 from flab.lattice import all_subgroups, lattice_summary
@@ -85,19 +86,18 @@ def test_quotient_image_and_preimage_masks():
         assert qm.preimage_mask(1 << qm.group.identity_idx) == n_mask
 
 
-# -- no Schreier-Sims for table groups -----------------------------------------
+# -- no Schreier-Sims on the library path ---------------------------------------
 
 
 def test_quotient_and_subgroup_build_no_stabilizer_chain(monkeypatch):
-    groups = [make_group(spec) for spec in ("S4", "SL(2,3)", "C2 x D8", "sd(C7,C3,n0->n0^2)")]
-    for G in groups:
-        G.table  # enumerate the parents while chains may still be built
-        all_subgroups(G)
-
+    # spec groups, quotients, sections and a default-suite run over a corpus
+    # holding A5 and S5, whose non-abelian chief factors reach the centrality
+    # oracle through delta-phi and lemmas, all build no chain
     def refuse(self, *args, **kwargs):
         raise AssertionError("a StabilizerChain was built")
 
     monkeypatch.setattr(StabilizerChain, "__init__", refuse)
+    groups = [make_group(spec) for spec in ("S4", "SL(2,3)", "C2 x D8", "sd(C7,C3,n0->n0^2)")]
     for G in groups:
         for n_mask in normal_subgroup_masks(G):
             Q = quotient(G, n_mask, gens_for_mask(G, n_mask)).group
@@ -110,6 +110,10 @@ def test_quotient_and_subgroup_build_no_stabilizer_chain(monkeypatch):
                 assert section.order * n_mask.bit_count() == ref.order
                 _order_histogram(section)
                 normal_subgroup_masks(section)
+    corpus = build_corpus(120)
+    assert {"A5", "S5"} <= set(corpus.names())
+    reports = run_checks(DEFAULT_SUITE, corpus)
+    assert len(reports) == len(DEFAULT_SUITE) and all(report.ok for report in reports)
 
 
 # -- sections X/N ------------------------------------------------------------------
