@@ -235,9 +235,9 @@ def test_hypercenter_nilpow_sidorov_examples():
 
 
 def test_nilpow_hypercenter_above_the_element_cap_stops_at_a_fixed_point():
-    # A5's chief factor gives an oracle product of order 3600, decided from
-    # stabilizer chains; the lower-central limit of an insoluble group does not
-    # shrink, so N^r stops iterating it and a huge r costs what r = 3 costs
+    # A5's chief factor is non-abelian: its oracle product, of order 3600, is
+    # insoluble and decided from its order alone, so a huge r costs what r = 3
+    # costs
     G = make_group("A5")
     start = time.perf_counter()
     huge = hypercenter(NilPow(10**9), G)
