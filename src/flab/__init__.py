@@ -73,7 +73,6 @@ from .series import (
 )
 from .formations import (
     Cross,
-    CrossBlock,
     FormationExpr,
     Gpi,
     Nil,

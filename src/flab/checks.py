@@ -21,7 +21,6 @@ from .corpus import Corpus, CorpusEntry
 from .errors import SpecParseError
 from .formations import (
     Cross,
-    CrossBlock,
     FormationExpr,
     Gpi,
     Nil,
@@ -29,7 +28,8 @@ from .formations import (
     SolPi,
     NIL,
     SUPERSOLUBLE,
-    _parse_primeset,
+    _format_primeset,
+    _parse_block,
     format_formation,
     formation_member,
     parse_formation,
@@ -74,6 +74,7 @@ _EXHAUSTIVE_ORDER = 60
 _PROBE_NOTE = "no equality guarantee - negative-case probe"
 _GPI23 = Gpi(frozenset({2, 3}))
 _LEMMA_FORMATIONS = (NIL, SUPERSOLUBLE, _GPI23)
+_SIDOROV_RS = (1, 2, 3)
 
 
 @dataclass
@@ -164,38 +165,32 @@ def _prop1(entry: CorpusEntry, params: dict) -> list[dict]:
     return [_row(entry, lhs, f_maximal_intersection(F, G))]
 
 
-def _partition_to_cross(blocks: list[tuple[frozenset[int], bool]]) -> Cross:
-    return Cross(tuple(CrossBlock(primes, soluble) for primes, soluble in blocks))
-
-
-def _has_soluble_block(blocks: list[tuple[frozenset[int], bool]]) -> bool:
-    return any(soluble for _, soluble in blocks)
+def _has_soluble_block(F: Cross) -> bool:
+    return any(isinstance(block, SolPi) for block in F.blocks)
 
 
 def _theorem_a(entry: CorpusEntry, params: dict) -> list[dict]:
     """Intersection of per-block normalizer intersections equals the cross hypercenter."""
-    blocks: list[tuple[frozenset[int], bool]] = params["partition"]
+    F: Cross = params["partition"]
     G = entry.group
-    F = _partition_to_cross(blocks)
     mask = full_subgroup(G).mask
-    for primes, soluble in partition_blocks_for(F, prime_factors(G.order)):
-        Fi: FormationExpr = SolPi(primes) if soluble else Gpi(primes)
+    for Fi in partition_blocks_for(F, prime_factors(G.order)):
         mask &= f_maximal_normalizer_intersection(Fi, G).mask
     lhs = subgroup_from_mask(G, mask)
     rhs = hypercenter(F, G)
-    return [_row(entry, lhs, rhs, _PROBE_NOTE if _has_soluble_block(blocks) else None)]
+    return [_row(entry, lhs, rhs, _PROBE_NOTE if _has_soluble_block(F) else None)]
 
 
-def _partition_params(blocks: list[tuple[frozenset[int], bool]]) -> list[str]:
+def _partition_params(F: Cross) -> list[str]:
     return [
-        "{" + ",".join(map(str, sorted(primes))) + "}" + (":spi" if soluble else "")
-        for primes, soluble in blocks
+        _format_primeset(block.primes) + (":spi" if isinstance(block, SolPi) else "")
+        for block in F.blocks
     ]
 
 
 def _is_lattice_formation(F: FormationExpr) -> bool:
     return isinstance(F, (Nil, Gpi)) or (
-        isinstance(F, Cross) and all(not b.soluble for b in F.blocks)
+        isinstance(F, Cross) and not _has_soluble_block(F)
     )
 
 
@@ -245,7 +240,7 @@ def _sidorov(entry: CorpusEntry, params: dict) -> list[dict]:
     if not is_soluble(G):
         return []
     rows = []
-    for r in params["rs"]:
+    for r in _SIDOROV_RS:
         F = NilPow(r)
         lhs = f_maximal_intersection(F, G)
         rhs = hypercenter(F, G, method="oracle")
@@ -267,9 +262,7 @@ def _delta_phi(entry: CorpusEntry, params: dict) -> list[dict]:
 def _boundary(entry: CorpusEntry, params: dict) -> list[dict]:
     """Search for a group outside the class whose maximal subgroups all lie in
     the local class at some prime (bounded report, never asserted empty)."""
-    found = boundary_counterexample_search(
-        params["formation"], params["universe"], [(entry.name, entry.group)]
-    )
+    found = boundary_counterexample_search(params["formation"], None, [(entry.name, entry.group)])
     if not found:
         return []
     witness = {"primes": sorted(p for _, p in found)}
@@ -277,8 +270,6 @@ def _boundary(entry: CorpusEntry, params: dict) -> list[dict]:
 
 
 def _lemma_formations(params: dict) -> tuple[FormationExpr, ...]:
-    if params["formations"]:
-        return params["formations"]
     return (params["formation"],) if params["formation"] else _LEMMA_FORMATIONS
 
 
@@ -411,13 +402,11 @@ def _formation_params(params: dict) -> tuple[dict, bool]:
 
 
 def _boundary_params(params: dict) -> tuple[dict, bool]:
-    F, universe = params["formation"], params["universe"]
+    F = params["formation"]
     if not supports_local_definition(F):
         raise SpecParseError(f"local definition unavailable for {format_formation(F)}")
-    return {
-        "formation": format_formation(F),
-        "universe": sorted(universe) if universe else "all",
-    }, False
+    # `_boundary` searches over every prime
+    return {"formation": format_formation(F), "universe": "all"}, False
 
 
 @dataclass(frozen=True)
@@ -450,7 +439,7 @@ CHECKS = {
     "prop1": Check(_prop1, {"formation": NIL}, _formation_params),
     "theorem-a": Check(
         _theorem_a,
-        {"partition": []},
+        {"partition": Cross(())},
         lambda p: (
             {"partition": _partition_params(p["partition"])},
             not _has_soluble_block(p["partition"]),
@@ -466,26 +455,26 @@ CHECKS = {
         {"formation": NIL, "sigma": SYLOW},
         lambda p: ({**_formation_params(p)[0], "sigma": p["sigma"].tag}, True),
     ),
-    "sidorov": Check(_sidorov, {"rs": (1, 2, 3)}, lambda p: ({"rs": list(p["rs"])}, True)),
+    "sidorov": Check(_sidorov, describe=lambda p: ({"rs": list(_SIDOROV_RS)}, True)),
     "lemmas": Check(
         _lemmas,
-        {"formations": None, "formation": None},
+        {"formation": None},
         lambda p: ({"formations": [format_formation(F) for F in _lemma_formations(p)]}, True),
     ),
     "boundary": Check(
         _boundary,
-        {"formation": SUPERSOLUBLE, "universe": None},
+        {"formation": SUPERSOLUBLE},
         _boundary_params,
         empty_note="no counterexample",
     ),
     "delta-phi": Check(_delta_phi, {"formation": NIL}, _formation_params),
 }
 
-PARTITION_PRESETS: dict[str, list[tuple[frozenset[int], bool]]] = {
-    "singletons": [],
-    "{2,3}": [(frozenset({2, 3}), False)],
-    "{2,3},{5}": [(frozenset({2, 3}), False), (frozenset({5}), False)],
-    "{2,5},{3,7}": [(frozenset({2, 5}), False), (frozenset({3, 7}), False)],
+PARTITION_PRESETS: dict[str, Cross] = {
+    "singletons": Cross(()),
+    "{2,3}": parse_formation("cross[{2,3}]"),
+    "{2,3},{5}": parse_formation("cross[{2,3};{5}]"),
+    "{2,5},{3,7}": parse_formation("cross[{2,5};{3,7}]"),
 }
 
 _CROSS235 = parse_formation("cross[{2,3}:gpi;{5}:gpi]")
@@ -510,25 +499,14 @@ DEFAULT_SUITE: tuple[tuple[str, dict], ...] = (
 """The full default matrix of checks, as ``(name, params)`` pairs."""
 
 
-def parse_partition(text: str) -> list[tuple[frozenset[int], bool]]:
-    """Parse a partition: a preset name or ';'/','-separated {..} blocks."""
+def parse_partition(text: str) -> Cross:
+    """Parse a partition: a preset name or ';'/','-separated blocks, each
+    ``{..}`` with an optional ``:gpi`` or ``:spi`` kind, as in ``cross[...]``."""
     text = text.strip()
     if text in PARTITION_PRESETS:
         return PARTITION_PRESETS[text]
-    blocks: list[tuple[frozenset[int], bool]] = []
-    seen: set[int] = set()
     parts = [part for chunk in _split_top_level(text, ";") for part in _split_top_level(chunk, ",")]
-    for part in parts:
-        part = part.strip()
-        if not part:
-            continue
-        soluble = part.endswith(":spi")
-        primes = _parse_primeset(part.removesuffix(":spi" if soluble else ":gpi"))
-        if seen & primes:
-            raise SpecParseError("partition blocks must be disjoint")
-        seen |= primes
-        blocks.append((primes, soluble))
-    return blocks
+    return Cross(tuple(_parse_block(part) for part in parts if part.strip()))
 
 
 def run_checks(configs: Iterable[tuple[str, dict]], corpus: Corpus) -> list[CheckReport]:

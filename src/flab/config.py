@@ -1,10 +1,10 @@
 """Default size caps.
 
 All caps are plain module constants; functions that honour a cap accept an
-override argument so callers (and the centrality oracle, which runs with a
-larger budget) can adjust per call.  A group's order is the number of its
-elements, so the order cap is also the enumeration cap; every enumerated
-group gets a dense index multiplication table, about 8 MB at order 2000.
+override argument so callers can adjust it per call.  A group's order is
+the number of its elements, so the order cap is also the enumeration cap;
+every enumerated group gets a dense index multiplication table, about 8 MB
+at order 2000.
 """
 
 ORDER_CAP = 2000
@@ -17,12 +17,6 @@ PERM_DEGREE_CAP = ORDER_CAP
 Every group within ``ORDER_CAP`` acts faithfully on at most that many points
 (its regular representation), so no constructible group needs more.
 """
-
-ORACLE_CAP = 10000
-"""Largest factor-action product the centrality oracle will decide.
-
-Only the product of an abelian chief factor is built; its order is at most
-the group's.  A non-abelian factor's product is decided by its order alone."""
 
 LATTICE_SUBGROUP_BUDGET = 20000
 """Abort subgroup enumeration past this many subgroups."""

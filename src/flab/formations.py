@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import prod
-from typing import Any, Callable, Union
+from typing import Any, Callable, Collection, Union
 
 from .errors import (
     CapExceeded,
@@ -47,7 +47,7 @@ from .subgroups import (
 
 @dataclass(frozen=True)
 class Gpi:
-    """All pi-groups for an explicit finite prime set."""
+    """All pi-groups for an explicit finite prime set; also a cross block."""
 
     primes: frozenset[int]
 
@@ -76,32 +76,30 @@ class Supersoluble:
 
 @dataclass(frozen=True)
 class SolPi:
-    """All soluble pi-groups (block kind; also usable standalone in probes)."""
+    """All soluble pi-groups; also a cross block."""
 
     primes: frozenset[int]
 
 
-@dataclass(frozen=True)
-class CrossBlock:
-    primes: frozenset[int]
-    soluble: bool  # True: soluble pi-groups in this block; False: all pi-groups
+Block = Union[Gpi, SolPi]
 
 
 @dataclass(frozen=True)
 class Cross:
-    """Direct products over a prime partition: G = product of its O_pi parts.
+    """Direct products over a prime partition: G = product of its O_pi parts,
+    the part of each block pi in that block's class (``Gpi`` or ``SolPi``).
 
-    Primes not covered by a listed block act as implicit singleton blocks of
-    all-pi-group kind.
+    Primes not covered by a listed block act as implicit singleton ``Gpi``
+    blocks.  A partition (``checks.parse_partition``) is a ``Cross`` too.
     """
 
-    blocks: tuple[CrossBlock, ...]
+    blocks: tuple[Block, ...]
 
     def __post_init__(self) -> None:
         seen: set[int] = set()
         for block in self.blocks:
             if seen & block.primes:
-                raise SpecParseError("cross blocks must have disjoint prime sets")
+                raise SpecParseError("partition blocks must have disjoint prime sets")
             seen |= block.primes
 
 
@@ -112,11 +110,15 @@ SOL = Sol()
 SUPERSOLUBLE = Supersoluble()
 
 
+def _format_primeset(primes: frozenset[int]) -> str:
+    return "{" + ",".join(map(str, sorted(primes))) + "}"
+
+
 def format_formation(F: FormationExpr) -> str:
     if isinstance(F, Gpi):
-        return "Gpi{" + ",".join(map(str, sorted(F.primes))) + "}"
+        return "Gpi" + _format_primeset(F.primes)
     if isinstance(F, SolPi):
-        return "Spi{" + ",".join(map(str, sorted(F.primes))) + "}"
+        return "Spi" + _format_primeset(F.primes)
     if isinstance(F, Nil):
         return "N"
     if isinstance(F, NilPow):
@@ -126,10 +128,10 @@ def format_formation(F: FormationExpr) -> str:
     if isinstance(F, Supersoluble):
         return "U"
     if isinstance(F, Cross):
-        parts = []
-        for block in sorted(F.blocks, key=lambda b: min(b.primes)):
-            primes = "{" + ",".join(map(str, sorted(block.primes))) + "}"
-            parts.append(primes + (":spi" if block.soluble else ":gpi"))
+        parts = [
+            _format_primeset(block.primes) + (":spi" if isinstance(block, SolPi) else ":gpi")
+            for block in sorted(F.blocks, key=lambda b: min(b.primes))
+        ]
         return "cross[" + ";".join(parts) + "]"
     raise TypeError(f"not a formation expression: {F!r}")
 
@@ -147,6 +149,19 @@ def _parse_primeset(text: str) -> frozenset[int]:
         if prime_factors(p) != [p]:
             raise SpecParseError(f"{p} is not prime")
     return primes
+
+
+_BLOCK_KINDS = {"gpi": Gpi, "spi": SolPi}
+
+
+def _parse_block(text: str) -> Block:
+    """One block of a ``cross[...]`` or a partition: ``{..}`` with an optional
+    ``:gpi`` (the default, all pi-groups) or ``:spi`` (soluble pi-groups)."""
+    primes_text, colon, kind = text.partition(":")
+    kind = kind.strip() if colon else "gpi"
+    if kind not in _BLOCK_KINDS:
+        raise SpecParseError(f"unknown block kind {kind!r}")
+    return _BLOCK_KINDS[kind](_parse_primeset(primes_text))
 
 
 def parse_formation(text: str) -> FormationExpr:
@@ -169,16 +184,7 @@ def parse_formation(text: str) -> FormationExpr:
         return Gpi(_parse_primeset(text[3:]))
     if text.startswith("cross[") and text.endswith("]"):
         body = text[6:-1].strip()
-        blocks = []
-        if body:
-            for part in body.split(";"):
-                part = part.strip()
-                primes_text, colon, kind = part.partition(":")
-                kind = kind.strip() if colon else "gpi"
-                if kind not in ("gpi", "spi"):
-                    raise SpecParseError(f"unknown block kind {kind!r}")
-                blocks.append(CrossBlock(_parse_primeset(primes_text), kind == "spi"))
-        return Cross(tuple(blocks))
+        return Cross(tuple(_parse_block(part) for part in body.split(";")) if body else ())
     raise SpecParseError(f"unrecognised class expression {text!r}")
 
 
@@ -194,26 +200,16 @@ def pi_support(F: FormationExpr) -> frozenset[int] | None:
     return None
 
 
-def cross_block_primes(F: Cross | Nil, p: int) -> frozenset[int]:
-    """The block of the partition containing p (implicit singleton if unlisted)."""
-    if isinstance(F, Cross):
-        for block in F.blocks:
-            if p in block.primes:
-                return block.primes
-    return frozenset([p])
-
-
-def partition_blocks_for(F: Cross | Nil, primes: list[int]) -> list[tuple[frozenset[int], bool]]:
-    """The blocks (with kinds) meeting the given primes, implicit singletons included."""
-    out: list[tuple[frozenset[int], bool]] = []
+def partition_blocks_for(F: Cross | Nil, primes: list[int]) -> list[Block]:
+    """The blocks meeting the given primes, each unlisted prime p as ``Gpi({p})``."""
+    out: list[Block] = []
     remaining = set(primes)
     if isinstance(F, Cross):
         for block in F.blocks:
             if block.primes & remaining:
-                out.append((block.primes, block.soluble))
+                out.append(block)
                 remaining -= block.primes
-    for p in sorted(remaining):
-        out.append((frozenset([p]), False))
+    out += (Gpi(frozenset([p])) for p in sorted(remaining))
     return out
 
 
@@ -222,7 +218,7 @@ def partition_blocks_for(F: Cross | Nil, primes: list[int]) -> list[tuple[frozen
 # ---------------------------------------------------------------------------
 
 
-def _burnside_small(primes: frozenset[int]) -> bool:
+def _burnside_small(primes: Collection[int]) -> bool:
     # every {p,q}-group is soluble, so insoluble members need >= 3 block primes
     return len(primes) <= 2
 
@@ -233,8 +229,11 @@ def formation_member(F: FormationExpr, X: Group | SubgroupRef) -> bool:
     This is the one rule per class for every caller: the counting test for
     ``N``; the iterated lower-central limit for ``N^r``; the derived series for
     ``Sol``; Huppert's criterion for ``U`` (supersoluble iff every maximal
-    subgroup has prime index, read off the subgroup lattice); pi-element
-    counts for cross products.  A group known only by its order, and known
+    subgroup has prime index, read off the subgroup lattice); the primes of
+    the order for ``Gpi``, and for ``Spi`` the derived series too unless
+    the order has at most two primes (Burnside's p^a q^b theorem);
+    pi-element counts for cross products, each part then decided by its
+    block's rule.  A group known only by its order, and known
     to be insoluble, is decided by :func:`insoluble_member`.
     """
     return _memoised("member", F, as_ref(X), _member_ref)
@@ -267,11 +266,13 @@ def insoluble_member(F: FormationExpr, order: int) -> bool:
     """Membership of an insoluble group known only by its order.
 
     Only a pi-class can hold an insoluble group: ``Gpi`` holds it when every
-    prime of the order is in pi, the soluble classes (``Sol``, ``Spi``,
-    ``N``, ``N^r``, ``U``) never do, and a cross class cannot when every
-    block meeting the order's primes has at most two primes (every
-    {p,q}-group is soluble).  Any other cross class needs the elements and
-    raises :class:`CapExceeded`.
+    prime of the order is in pi, and the soluble classes (``Sol``, ``Spi``,
+    ``N``, ``N^r``, ``U``) never do.  A cross class whose blocks meet the
+    order in one block decides it by that block's rule; it cannot hold it
+    when every block meeting the order's primes is an ``Spi`` block or has
+    at most two primes (every {p,q}-group is soluble), since its parts would
+    then be soluble.  Any other cross class needs the elements and raises
+    :class:`CapExceeded`.
     """
     primes = prime_factors(order)
     if isinstance(F, Gpi):
@@ -279,7 +280,10 @@ def insoluble_member(F: FormationExpr, order: int) -> bool:
     if isinstance(F, (Sol, SolPi, Nil, NilPow, Supersoluble)):
         return False
     if isinstance(F, Cross):
-        if all(_burnside_small(pi) for pi, _ in partition_blocks_for(F, primes)):
+        blocks = partition_blocks_for(F, primes)
+        if len(blocks) == 1:
+            return insoluble_member(blocks[0], order)
+        if all(isinstance(block, SolPi) or _burnside_small(block.primes) for block in blocks):
             return False
         raise CapExceeded(f"cross membership of an insoluble group needs its elements; order {order}")
     raise TypeError(f"not a formation expression: {F!r}")
@@ -289,9 +293,10 @@ def _member_ref(F: FormationExpr, X: SubgroupRef) -> bool:
     if isinstance(F, Gpi):
         return all(p in F.primes for p in prime_factors(X.order))
     if isinstance(F, SolPi):
-        if any(p not in F.primes for p in prime_factors(X.order)):
+        primes = prime_factors(X.order)
+        if any(p not in F.primes for p in primes):
             return False
-        return is_soluble(X)
+        return _burnside_small(primes) or is_soluble(X)
     if isinstance(F, Nil):
         return is_nilpotent(X)
     if isinstance(F, Sol):
@@ -312,14 +317,15 @@ def _non_prime_index_maximals(X: SubgroupRef) -> list[int]:
 
 
 def _cross_member_ref(F: Cross, X: SubgroupRef) -> bool:
-    """X is the direct product of its O_pi parts over the partition blocks.
+    """X is the direct product of its O_pi parts over the partition blocks,
+    each part in its block's class.
 
     Counting test: for each block pi, the pi-elements of X (the identity
     included) must number |X|_pi and be closed under multiplication.  They
     then form a normal Hall pi-subgroup, which is O_pi(X), and these parts of
     coprime orders multiply to X; conversely each pi-element of such a
-    product lies in its pi-part.  A soluble block also needs its part
-    soluble.  The pi-elements are the solutions of x^(|X|_pi) = 1, so by the
+    product lies in its pi-part.  Each part is then decided by its block's
+    own rule.  The pi-elements are the solutions of x^(|X|_pi) = 1, so by the
     solved Frobenius conjecture (Iiyori and Yamaki, 1991) the count alone
     implies closure; closure is checked directly anyway, one
     ``closure_mask`` per block.  The O_pi construction this replaced is
@@ -329,23 +335,22 @@ def _cross_member_ref(F: Cross, X: SubgroupRef) -> bool:
     primes = prime_factors(order)
     blocks = partition_blocks_for(F, primes)
     if len(blocks) == 1:
-        [(pi, soluble)] = blocks
-        return not soluble or _burnside_small(pi.intersection(primes)) or is_soluble(X)
+        return formation_member(blocks[0], X)
     parts = []
-    for pi, soluble in blocks:
-        pi = pi.intersection(primes)
+    for block in blocks:
+        pi = block.primes.intersection(primes)
         elements = pi_elements(X, pi)
         if len(elements) != prod(p_part(order, p) for p in pi):
             return False
-        parts.append((elements, soluble and not _burnside_small(pi)))
+        parts.append((block, elements))
     G = X.ambient
-    for elements, check_soluble in parts:
+    for block, elements in parts:
         mask = 0
         for x in elements:
             mask |= 1 << x
         if closure_mask(G, elements, stop_above=len(elements)) != mask:
             return False
-        if check_soluble and not is_soluble(subgroup_from_mask(G, mask)):
+        if not formation_member(block, subgroup_from_mask(G, mask)):
             return False
     return True
 
@@ -425,6 +430,24 @@ def _supersoluble_residual(X: SubgroupRef) -> int:
     return mask
 
 
+def _cross_residual(F: Cross, X: SubgroupRef) -> int:
+    """Mask of the cross residual: the join of the block residuals of the A_i.
+
+    A_i = O^{pi_i'}(X) is generated by the pi_i-elements of X.  X/N lies in
+    the cross class iff every A_iN/N lies in its block's class: the A_iN/N
+    are normal, of coprime orders and generate X/N, so X/N is their direct
+    product.  A_iN/N is A_i/(A_i meet N), so it lies in the class iff N
+    contains the block residual R_i of A_i; each R_i is characteristic in
+    A_i and so normal in X, and the residual is the closure of their union.
+    """
+    primes = prime_factors(X.order)
+    pieces = 0
+    for block in partition_blocks_for(F, primes):
+        outside = [p for p in primes if p not in block.primes]
+        pieces |= residual_mask(block, o_pi_up(X, outside) if outside else X)
+    return closure_mask(X.ambient, list(bits(pieces)))
+
+
 def residual_mask(F: FormationExpr, X: Group | SubgroupRef) -> int:
     """The residual's fast path, at index level, memoised per ambient group, class and mask.
 
@@ -447,19 +470,7 @@ def _residual_ref(F: FormationExpr, X: SubgroupRef) -> int:
     if isinstance(F, Sol):
         return derived_series(X)[-1].mask
     if isinstance(F, Cross):
-        # residual of an intersection of formations is the join of residuals;
-        # each block contributes O^pi(O^pi'(X)) * O^pi'(O^pi(X)) (plus the
-        # solubility residual of the pi-part for soluble-kind blocks)
-        pieces = 0
-        for primes, soluble in partition_blocks_for(F, prime_factors(X.order)):
-            complement = frozenset(p for p in prime_factors(X.order) if p not in primes)
-            a_ref = o_pi_up(X, complement)  # <pi-elements>
-            b_ref = o_pi_up(X, primes)  # <pi'-elements>
-            pieces |= o_pi_up(a_ref, primes).mask
-            pieces |= o_pi_up(b_ref, complement).mask
-            if soluble:
-                pieces |= derived_series(a_ref)[-1].mask
-        return closure_mask(G, list(bits(pieces)))
+        return _cross_residual(F, X)
     if isinstance(F, Supersoluble):
         return _supersoluble_residual(X)
     raise TypeError(f"not a formation expression: {F!r}")
@@ -474,7 +485,7 @@ def supports_local_definition(F: FormationExpr) -> bool:
     if isinstance(F, (Nil, Supersoluble)):
         return True
     if isinstance(F, Cross):
-        return all(not block.soluble for block in F.blocks)
+        return all(isinstance(block, Gpi) for block in F.blocks)
     return False
 
 
@@ -497,7 +508,7 @@ def local_def_member(
         )
     X = as_ref(X)
     if isinstance(F, (Nil, Cross)):
-        block = cross_block_primes(F, p)
+        block = partition_blocks_for(F, [p])[0].primes
         index = X.order if floor is None else X.order // floor.order
         return all(q in block for q in prime_factors(index))
     G = X.ambient

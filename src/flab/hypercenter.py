@@ -17,7 +17,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from . import config
 from .errors import InternalCheckFailure, OracleCapExceeded
 from .groups import Group, QuotientMap, _typecode, coset_group, quotient, right_cosets
 from .series import ChiefFactor, _chief_masks_to, _minimal_normal_above
@@ -54,35 +53,27 @@ def _factor_quotient_data(G: Group, factor: ChiefFactor) -> tuple[SubgroupRef, i
     return cent, G.order // cent.order
 
 
-def build_factor_action_product(G: Group, factor: ChiefFactor, cap: int | None = None) -> Group:
+def build_factor_action_product(G: Group, factor: ChiefFactor) -> Group:
     """The semidirect product (H/K) x| (G/C) with the conjugation action.
 
     The quotient G/C embeds in the automorphisms of the factor (C is exactly
     the kernel), so the product has order |H/K| * |G/C|.  It is built, as a
     table group read off G's table, only for an abelian factor: then H <= C,
-    so the order is at most |G/K|.  A non-abelian factor, or a product above
-    the cap, raises :class:`OracleCapExceeded`.  Cached on G per factor; the
-    cache is read first, so a cached product costs no centralizer scan.
+    so the order is at most |G/K|.  A non-abelian factor raises
+    :class:`OracleCapExceeded`.  Cached on G per factor; the cache is read
+    first, so a cached product costs no centralizer scan.
     """
     cache_key = (factor.below.mask, factor.above.mask)
     W = G._factor_products.get(cache_key)
     if W is not None:
-        _check_oracle_cap(W.order, cap)
         return W
-    cent, acting = _factor_quotient_data(G, factor)
-    _check_oracle_cap(factor.order * acting, cap)
     if len(factor.primes()) > 1:
         raise OracleCapExceeded(f"no product is built for a non-abelian factor of order {factor.order}")
+    cent = centralizer_of_factor(G, factor.above, factor.below)
     coset_of, reps = right_cosets(G, factor.above.mask, factor.below.mask)
     W = _table_product(G, factor, coset_of, reps, quotient(G, cent.mask, cent.gen_idxs))
     G._factor_products[cache_key] = W
     return W
-
-
-def _check_oracle_cap(order: int, cap: int | None) -> None:
-    cap = config.ORACLE_CAP if cap is None else cap
-    if order > cap:
-        raise OracleCapExceeded(f"product order {order} exceeds the oracle cap {cap}")
 
 
 def _table_product(
@@ -133,9 +124,7 @@ def _table_product(
     return Group.from_table(rows, inv, a_e * m + c_e, gens, name="factor-action-product")
 
 
-def is_f_central_oracle(
-    test: MembershipTest, G: Group, factor: ChiefFactor, cap: int | None = None
-) -> CentralityVerdict:
+def is_f_central_oracle(test: MembershipTest, G: Group, factor: ChiefFactor) -> CentralityVerdict:
     """Centrality by testing membership of the factor-action product W.
 
     For an abelian factor W is built and the acting order read off it.  A
@@ -146,13 +135,12 @@ def is_f_central_oracle(
     if len(factor.primes()) > 1:
         _, acting = _factor_quotient_data(G, factor)
         order = factor.order * acting
-        _check_oracle_cap(order, cap)
         if callable(test):
             raise OracleCapExceeded(
                 f"a predicate needs the product of a non-abelian factor of order {factor.order}"
             )
         return CentralityVerdict(factor, insoluble_member(test, order), "oracle", acting, order)
-    W = build_factor_action_product(G, factor, cap)
+    W = build_factor_action_product(G, factor)
     member = test(W) if callable(test) else formation_member(test, W)
     return CentralityVerdict(factor, member, "oracle", W.order // factor.order, W.order)
 

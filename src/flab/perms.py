@@ -46,15 +46,18 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Iterable[int]]) -> "Permutation":
-        """Build from disjoint cycles; unmentioned points are fixed."""
+        """Build from disjoint cycles; unmentioned points are fixed.  A point
+        named twice, in one cycle or in two, is refused."""
         images = list(range(degree))
+        seen: set[int] = set()
         for cycle in cycles:
             cycle = list(cycle)
             for a in cycle:
                 if not 0 <= a < degree:
                     raise ValueError(f"point {a} outside 0..{degree - 1}")
-                if images[a] != a:
-                    raise ValueError(f"point {a} appears in two cycles")
+                if a in seen:
+                    raise ValueError(f"point {a} appears twice in the cycles")
+                seen.add(a)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 images[a] = b
         return cls(images)

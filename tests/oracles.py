@@ -357,16 +357,16 @@ def is_nilpotent_by_sylow(X) -> bool:
 def cross_member_by_o_pi(F, X) -> bool:
     """Oracle for cross membership: X is the product of its O_pi parts over the
     blocks, each O_pi the join of X's normal pi-subgroups."""
-    from flab.formations import partition_blocks_for
+    from flab.formations import SolPi, partition_blocks_for
     from flab.series import is_soluble
     from flab.subgroups import as_ref, o_pi, prime_factors
 
     X = as_ref(X)
     total = 1
     parts = []
-    for primes, soluble in partition_blocks_for(F, prime_factors(X.order)):
-        part = o_pi(X, primes)
-        parts.append((part, soluble))
+    for block in partition_blocks_for(F, prime_factors(X.order)):
+        part = o_pi(X, block.primes)
+        parts.append((part, isinstance(block, SolPi)))
         total *= part.order
     if total != X.order:
         return False
@@ -448,7 +448,8 @@ def member_by_chain(F, gens, degree):
 
     Solubility and ``N^r`` come from :func:`chain_series_end`; ``U`` and
     cross classes are decided only for an insoluble non-member and raise
-    ``CapExceeded`` otherwise.
+    ``CapExceeded`` otherwise, except that a cross class with one block
+    meeting the order is decided as that block's class.
     """
     from flab.errors import CapExceeded
     from flab.formations import Cross, Gpi, Nil, NilPow, Sol, SolPi, Supersoluble, partition_blocks_for
@@ -479,7 +480,10 @@ def member_by_chain(F, gens, degree):
             return False
         raise CapExceeded("supersolubility needs element enumeration")
     if isinstance(F, Cross):
-        if all(len(pi) <= 2 for pi, _ in partition_blocks_for(F, primes)) and not soluble():
+        blocks = partition_blocks_for(F, primes)
+        if len(blocks) == 1:
+            return member_by_chain(blocks[0], gens, degree)
+        if all(isinstance(b, SolPi) or len(b.primes) <= 2 for b in blocks) and not soluble():
             return False
         raise CapExceeded("cross membership needs element enumeration")
     raise TypeError(F)
@@ -606,12 +610,12 @@ def local_def_member_by_quotient(F, p, X) -> bool:
     """Oracle for ``formations.local_def_member``: for U, X/O_p(X) is built as
     a quotient group, and its element orders and generators are read; N and
     cross classes read the primes of |X|."""
-    from flab.formations import Cross, Nil, cross_block_primes
+    from flab.formations import Cross, Nil, partition_blocks_for
     from flab.subgroups import as_ref, prime_factors
 
     X = as_ref(X)
     if isinstance(F, (Nil, Cross)):
-        return set(prime_factors(X.order)) <= cross_block_primes(F, p)
+        return set(prime_factors(X.order)) <= partition_blocks_for(F, [p])[0].primes
     sub, _ = _subgroup_group(X)
     quo = _quotient_by(sub, o_pi_by_join(sub, [p])).group
     if any((p - 1) % quo.elt_order(a) for a in range(quo.order)):

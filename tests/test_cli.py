@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -19,6 +20,19 @@ def test_analyze_sigma_choice(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "subnormalizer-intersection[cyclic]" in out
+
+
+def test_analyze_psl27_decides_its_non_abelian_factor(capsys):
+    # the factor-action product has order 28224; it is decided from that order
+    psl27 = "perm(7; (0 1 2 3 4 5 6); (1 2)(3 6))"
+    for formation, digest in (
+        ("Gpi{2,3,7}", "6c7d144a00b3af406c2ee552ebdedc2d"),
+        ("Sol", "aedc5a14f2f4cca17b42a5bfb2852046"),
+    ):
+        code = main(["analyze", "--group", psl27, "--formation", formation])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == digest, formation
 
 
 def test_lattice_command(capsys):
@@ -163,6 +177,8 @@ def test_closed_stdout_exits_141_without_traceback():
         ["analyze", "--group", "perm(100000000; (0 1))"],
         ["verify", "--check", "theorem-a", "--partition", "{}"],
         ["verify", "--check", "theorem-a", "--partition", "{0,1}"],
+        ["analyze", "--group", "perm(3; (0 1 1))"],
+        ["analyze", "--group", "perm(3; (0 0))"],
     ],
 )
 def test_bad_expression_exits_2_with_one_error_line(argv, capsys):

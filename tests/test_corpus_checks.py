@@ -12,7 +12,7 @@ from flab.checks import (
 )
 from flab.corpus import Corpus, CorpusEntry, build_corpus, load_corpus_file
 from flab.errors import SpecParseError
-from flab.formations import NIL, SUPERSOLUBLE, Gpi, parse_formation
+from flab.formations import NIL, SUPERSOLUBLE, Cross, Gpi, SolPi, parse_formation
 from flab.intersections import CYCLIC_PRIMARY, SYLOW
 from flab.report import render_report
 
@@ -76,9 +76,11 @@ def test_corpus_file_loading(tmp_path):
 
 
 def test_partition_parsing():
-    assert parse_partition("singletons") == []
-    assert parse_partition("{2,3},{5}") == [(frozenset({2, 3}), False), (frozenset({5}), False)]
-    assert parse_partition("{2,3}:spi") == [(frozenset({2, 3}), True)]
+    # a partition is a cross class, parsed block by block as cross[...] is
+    assert parse_partition("singletons") == Cross(())
+    assert parse_partition("{2,3},{5}") == Cross((Gpi(frozenset({2, 3})), Gpi(frozenset({5}))))
+    assert parse_partition("{2,3}:spi") == Cross((SolPi(frozenset({2, 3})),))
+    assert parse_partition("{2,3}:spi; {5}:gpi") == parse_formation("cross[{2,3}:spi;{5}:gpi]")
     with pytest.raises(SpecParseError):
         parse_partition("{2,3},{3,5}")
     with pytest.raises(SpecParseError):
@@ -207,10 +209,10 @@ def test_default_suite_configurations_are_pinned():
         ("prop1", {"formation": SUPERSOLUBLE}),
         ("prop1", {"formation": gpi23}),
         ("prop1", {"formation": cross235}),
-        ("theorem-a", {"partition": []}),
-        ("theorem-a", {"partition": [(frozenset({2, 3}), False)]}),
-        ("theorem-a", {"partition": [(frozenset({2, 3}), False), (frozenset({5}), False)]}),
-        ("theorem-a", {"partition": [(frozenset({2, 5}), False), (frozenset({3, 7}), False)]}),
+        ("theorem-a", {"partition": Cross(())}),
+        ("theorem-a", {"partition": Cross((gpi23,))}),
+        ("theorem-a", {"partition": Cross((gpi23, Gpi(frozenset({5}))))}),
+        ("theorem-a", {"partition": Cross((Gpi(frozenset({2, 5})), Gpi(frozenset({3, 7}))))}),
         ("theorem-b", {"formation": NIL}),
         ("theorem-b", {"formation": cross235}),
         ("theorem-b", {"formation": SUPERSOLUBLE}),

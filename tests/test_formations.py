@@ -7,7 +7,6 @@ from flab.corpus import build_corpus
 from flab.errors import CapExceeded, LocalDefinitionUnavailable, SpecParseError
 from flab.formations import (
     Cross,
-    CrossBlock,
     Gpi,
     NIL,
     NilPow,
@@ -104,9 +103,9 @@ def test_cross_membership():
     assert formation_member(NIL, make_group("Q8 x C3"))
     assert not formation_member(CROSS_235, make_group("A5"))
     # a {2,3,5}-block admits the insoluble A5
-    wide = Cross((CrossBlock(frozenset({2, 3, 5}), False),))
+    wide = Cross((Gpi(frozenset({2, 3, 5})),))
     assert formation_member(wide, make_group("A5"))
-    wide_soluble = Cross((CrossBlock(frozenset({2, 3, 5}), True),))
+    wide_soluble = Cross((SolPi(frozenset({2, 3, 5})),))
     assert not formation_member(wide_soluble, make_group("A5"))
 
 
@@ -266,6 +265,14 @@ def test_member_iff_trivial_residual():
             assert (formation_residual(F, G).order == 1) == formation_member(F, G)
 
 
+# cross classes with soluble-kind blocks and with no listed block
+_CROSS_EXTRA = (
+    parse_formation("cross[{2,5}:spi;{3,7}]"),
+    parse_formation("cross[{2,3,5}:spi]"),
+    parse_formation("cross[]"),
+)
+
+
 def test_fast_residual_agrees_with_normal_scan():
     specs = _SMALL_SPECS + (
         "D20",
@@ -278,23 +285,22 @@ def test_fast_residual_agrees_with_normal_scan():
     for spec in specs:
         G = make_group(spec)
         full = full_subgroup(G)
-        for F in _CATALOG + (SolPi(frozenset({2, 3})), Gpi(frozenset({5})), NilPow(1), NilPow(3)):
+        for F in _CATALOG + _CROSS_EXTRA + (SolPi(frozenset({2, 3})), Gpi(frozenset({5})), NilPow(1), NilPow(3)):
             assert residual_mask(F, full) == formation_residual(F, G).mask, (spec, format_formation(F))
 
 
 def test_residual_on_subgroups():
-    G = make_group("S4")
-    lat = all_subgroups(G)
-    for ref in lat.refs:
-        for F in (NIL, SUPERSOLUBLE):
-            assert residual_mask(F, ref) == formation_residual(F, ref).mask
+    for spec in ("S4", "A5"):
+        for ref in all_subgroups(make_group(spec)).refs:
+            for F in (NIL, SUPERSOLUBLE, CROSS_235) + _CROSS_EXTRA:
+                assert residual_mask(F, ref) == formation_residual(F, ref).mask, (spec, ref.order, format_formation(F))
 
 
 def test_fast_residual_agrees_with_oracle_on_corpus():
     # the lemma check reads residual_mask, so the quotient-based oracle is compared here
     for entry in build_corpus(120):
         G = entry.group
-        for F in (NIL, SUPERSOLUBLE, Gpi(frozenset({2, 3})), NilPow(2)):
+        for F in (NIL, SUPERSOLUBLE, Gpi(frozenset({2, 3})), NilPow(2), CROSS_235) + _CROSS_EXTRA:
             assert residual_mask(F, G) == formation_residual(F, G).mask, (entry.name, format_formation(F))
 
 

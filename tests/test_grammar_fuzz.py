@@ -147,10 +147,10 @@ _partitions = st.one_of(
 @given(_mutated(_partitions, _PARTITION_ALPHABET))
 def test_partitions_parse_or_refuse(text):
     try:
-        blocks = parse_partition(text)
+        F = parse_partition(text)
     except SpecParseError:
         return
     seen: set[int] = set()
-    for primes, _ in blocks:
-        assert primes and not primes & seen
-        seen |= primes
+    for block in F.blocks:
+        assert block.primes and not block.primes & seen
+        seen |= block.primes

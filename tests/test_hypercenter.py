@@ -7,6 +7,7 @@ from flab.corpus import build_corpus
 from flab.errors import OracleCapExceeded
 from flab.formations import (
     NIL,
+    SOL,
     SUPERSOLUBLE,
     Gpi,
     NilPow,
@@ -64,11 +65,23 @@ def test_local_centrality_examples():
     assert is_f_central_local(NIL, q8, _factor(q8, 1, 2)).central
 
 
-def test_oracle_cap():
-    G = make_group("A5")
-    f = chief_factors(G)[0]
+def test_oracle_decides_a_non_abelian_factor_by_its_product_order():
+    # PSL(2,7) acts on its one chief factor as its own inner automorphisms, so
+    # the product has order 168 * 168 = 28224; it is decided from that order
+    G = make_group("perm(7; (0 1 2 3 4 5 6); (1 2)(3 6))")
+    [f] = chief_factors(G)
+    gpi237 = Gpi(frozenset({2, 3, 7}))
+    cross = [parse_formation(text) for text in ("cross[{2,3,7}]", "cross[{2,3,7}:spi]", "cross[{2,3};{7}]")]
+    for F, central in zip([gpi237, SOL, NIL, *cross], [True, False, False, True, False, False]):
+        v = is_f_central_oracle(F, G, f)
+        assert v.central is central and v.product_order == 28224, format_formation(F)
+    assert hypercenter(gpi237, G).order == 168
+    assert hypercenter(SOL, G).order == 1
+    # a callable predicate needs the product itself, which is not built
     with pytest.raises(OracleCapExceeded):
-        is_f_central_oracle(NIL, G, f, cap=100)
+        is_f_central_oracle(lambda W: True, G, f)
+    with pytest.raises(OracleCapExceeded):
+        build_factor_action_product(G, f)
 
 
 def test_cached_oracle_product_skips_the_centralizer_scan(monkeypatch):
@@ -89,11 +102,6 @@ def test_cached_oracle_product_skips_the_centralizer_scan(monkeypatch):
     for F in (NIL, SUPERSOLUBLE):
         for f in factors:
             is_f_central_oracle(F, G, f)
-    assert len(scans) == len(factors)
-    # a cached product above a smaller cap is still refused
-    W = build_factor_action_product(G, factors[-1])
-    with pytest.raises(OracleCapExceeded):
-        build_factor_action_product(G, factors[-1], cap=W.order - 1)
     assert len(scans) == len(factors)
 
 
@@ -257,9 +265,9 @@ def test_each_chief_factor_decided_once(monkeypatch):
     local: Counter = Counter()
     build, decide_local = hc.build_factor_action_product, hc.is_f_central_local
 
-    def counting_build(G, factor, cap=None):
+    def counting_build(G, factor):
         products[factor.below.mask, factor.above.mask] += 1
-        return build(G, factor, cap)
+        return build(G, factor)
 
     def counting_local(F, G, factor):
         local[factor.below.mask, factor.above.mask] += 1
