@@ -262,7 +262,7 @@ def _delta_phi(entry: CorpusEntry, params: dict) -> list[dict]:
 def _boundary(entry: CorpusEntry, params: dict) -> list[dict]:
     """Search for a group outside the class whose maximal subgroups all lie in
     the local class at some prime (bounded report, never asserted empty)."""
-    found = boundary_counterexample_search(params["formation"], None, [(entry.name, entry.group)])
+    found = boundary_counterexample_search(params["formation"], [(entry.name, entry.group)])
     if not found:
         return []
     witness = {"primes": sorted(p for _, p in found)}

@@ -1,10 +1,10 @@
 """Default size caps.
 
-All caps are plain module constants; functions that honour a cap accept an
-override argument so callers can adjust it per call.  A group's order is
-the number of its elements, so the order cap is also the enumeration cap;
-every enumerated group gets a dense index multiplication table, about 8 MB
-at order 2000.
+All caps are plain module constants, read at call time; only the order
+cap has a per-call override, ``make_group(order_cap=)`` and
+``Group.elements(limit=)``.  A group's order is the number of its elements,
+so the order cap is also the enumeration cap; every enumerated group gets a
+dense index multiplication table, about 8 MB at order 2000.
 """
 
 ORDER_CAP = 2000

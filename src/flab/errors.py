@@ -18,7 +18,7 @@ class OrderCapExceeded(CapExceeded):
 
 
 class OracleCapExceeded(CapExceeded):
-    """The centrality oracle would need a product larger than its cap."""
+    """The centrality oracle would need the product of a non-abelian chief factor; none is built."""
 
 
 class LatticeBudgetExceeded(CapExceeded):

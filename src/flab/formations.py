@@ -12,10 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import prod
-from typing import Any, Callable, Collection, Union
+from typing import Any, Callable, Union
 
 from .errors import (
-    CapExceeded,
     InternalCheckFailure,
     LocalDefinitionUnavailable,
     SpecParseError,
@@ -180,8 +179,8 @@ def parse_formation(text: str) -> FormationExpr:
         if r < 1:
             raise SpecParseError("N^r needs r >= 1")
         return NilPow(r)
-    if text.startswith("Gpi{") and text.endswith("}"):
-        return Gpi(_parse_primeset(text[3:]))
+    if text.startswith(("Gpi{", "Spi{")) and text.endswith("}"):
+        return (Gpi if text[0] == "G" else SolPi)(_parse_primeset(text[3:]))
     if text.startswith("cross[") and text.endswith("]"):
         body = text[6:-1].strip()
         return Cross(tuple(_parse_block(part) for part in body.split(";")) if body else ())
@@ -218,11 +217,6 @@ def partition_blocks_for(F: Cross | Nil, primes: list[int]) -> list[Block]:
 # ---------------------------------------------------------------------------
 
 
-def _burnside_small(primes: Collection[int]) -> bool:
-    # every {p,q}-group is soluble, so insoluble members need >= 3 block primes
-    return len(primes) <= 2
-
-
 def formation_member(F: FormationExpr, X: Group | SubgroupRef) -> bool:
     """Membership test for the catalog classes, memoised per ambient group, class and mask.
 
@@ -233,8 +227,7 @@ def formation_member(F: FormationExpr, X: Group | SubgroupRef) -> bool:
     the order for ``Gpi``, and for ``Spi`` the derived series too unless
     the order has at most two primes (Burnside's p^a q^b theorem);
     pi-element counts for cross products, each part then decided by its
-    block's rule.  A group known only by its order, and known
-    to be insoluble, is decided by :func:`insoluble_member`.
+    block's rule.
     """
     return _memoised("member", F, as_ref(X), _member_ref)
 
@@ -262,33 +255,6 @@ def _memoised(kind: str, F: FormationExpr, X: SubgroupRef, decide: Callable) -> 
     return value
 
 
-def insoluble_member(F: FormationExpr, order: int) -> bool:
-    """Membership of an insoluble group known only by its order.
-
-    Only a pi-class can hold an insoluble group: ``Gpi`` holds it when every
-    prime of the order is in pi, and the soluble classes (``Sol``, ``Spi``,
-    ``N``, ``N^r``, ``U``) never do.  A cross class whose blocks meet the
-    order in one block decides it by that block's rule; it cannot hold it
-    when every block meeting the order's primes is an ``Spi`` block or has
-    at most two primes (every {p,q}-group is soluble), since its parts would
-    then be soluble.  Any other cross class needs the elements and raises
-    :class:`CapExceeded`.
-    """
-    primes = prime_factors(order)
-    if isinstance(F, Gpi):
-        return all(p in F.primes for p in primes)
-    if isinstance(F, (Sol, SolPi, Nil, NilPow, Supersoluble)):
-        return False
-    if isinstance(F, Cross):
-        blocks = partition_blocks_for(F, primes)
-        if len(blocks) == 1:
-            return insoluble_member(blocks[0], order)
-        if all(isinstance(block, SolPi) or _burnside_small(block.primes) for block in blocks):
-            return False
-        raise CapExceeded(f"cross membership of an insoluble group needs its elements; order {order}")
-    raise TypeError(f"not a formation expression: {F!r}")
-
-
 def _member_ref(F: FormationExpr, X: SubgroupRef) -> bool:
     if isinstance(F, Gpi):
         return all(p in F.primes for p in prime_factors(X.order))
@@ -296,7 +262,7 @@ def _member_ref(F: FormationExpr, X: SubgroupRef) -> bool:
         primes = prime_factors(X.order)
         if any(p not in F.primes for p in primes):
             return False
-        return _burnside_small(primes) or is_soluble(X)
+        return len(primes) <= 2 or is_soluble(X)
     if isinstance(F, Nil):
         return is_nilpotent(X)
     if isinstance(F, Sol):
@@ -524,12 +490,10 @@ def local_def_member(
 
 
 def boundary_counterexample_search(
-    F: FormationExpr,
-    universe: frozenset[int] | None,
-    groups: list[tuple[str, Group]],
+    F: FormationExpr, groups: list[tuple[str, Group]]
 ) -> list[tuple[str, int]]:
-    """Find (group, p) with G a universe-group outside the class whose maximal
-    subgroups all lie in the local class at p.
+    """Find (group, p) with G outside the class whose maximal subgroups all
+    lie in the local class at p.
 
     The prime p ranges over the primes dividing |G| (larger primes only relax
     the local class further for the supported catalog, and the report is
@@ -541,13 +505,10 @@ def boundary_counterexample_search(
         )
     out = []
     for name, G in groups:
-        primes = prime_factors(G.order)
-        if universe is not None and any(p not in universe for p in primes):
-            continue
         if G.order == 1 or formation_member(F, G):
             continue
         maxes = maximal_subgroups(G)
-        for p in primes:
+        for p in prime_factors(G.order):
             if all(local_def_member(F, p, M) for M in maxes):
                 out.append((name, p))
     return out

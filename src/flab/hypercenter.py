@@ -2,8 +2,8 @@
 
 Two independent centrality tests are provided: the oracle tests class
 membership of the semidirect product of the factor with the acting
-quotient, built as a table group for an abelian factor and known by its
-order alone, as an insoluble group, for a non-abelian one; the local test
+quotient, built as a table group for an abelian factor and decided from
+the primes of its order, by a theorem, for a non-abelian one; the local test
 checks membership of the acting section G/C_G(H/K), decided in G itself, in
 the canonical local class at each relevant prime.  The hypercenter is
 computed by greedy ascent through minimal normal subgroups and then
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import InternalCheckFailure, OracleCapExceeded
-from .groups import Group, QuotientMap, _typecode, coset_group, quotient, right_cosets
+from .groups import Group, QuotientMap, _typecode, coset_group, prime_factors, quotient, right_cosets
 from .series import ChiefFactor, _chief_masks_to, _minimal_normal_above
 from .subgroups import (
     SubgroupRef,
@@ -28,11 +28,13 @@ from .subgroups import (
     trivial_subgroup,
 )
 from .formations import (
+    Cross,
     FormationExpr,
+    Gpi,
     formation_key,
     formation_member,
-    insoluble_member,
     local_def_member,
+    partition_blocks_for,
     supports_local_definition,
 )
 
@@ -124,13 +126,39 @@ def _table_product(
     return Group.from_table(rows, inv, a_e * m + c_e, gens, name="factor-action-product")
 
 
+def _holds_non_abelian_product(F: FormationExpr, order: int) -> bool:
+    """Whether F holds W = N x| A, N = H/K a non-abelian chief factor of G and
+    A = G/C, C = C_G(H/K), acting by conjugation; ``order`` is |W|.
+
+    The W-normal subgroups of N are the G-invariant ones, so N is minimal
+    normal in W.  An element (n, a) of W centralises N iff a acts on N as
+    the inner automorphism by n^-1, which determines n since Z(N) = 1; so
+    C_W(N) maps injectively into A meet Inn(N), and |C_W(N)| divides |N|.
+    Suppose W is the direct product of its parts O_pi(W) over a partition
+    of the primes.  N meets some part O_pi(W), else [N, P] <= N meet P = 1
+    for every part P and N would be central; being minimal normal, N lies
+    in O_pi(W).  Every other part commutes with O_pi(W), so it is a
+    pi'-subgroup of C_W(N), whose order is a pi-number: it is trivial, and
+    W = O_pi(W).  Hence W lies in F iff the primes of |W| lie in one block
+    of F and that block holds every group of its primes: F is ``Gpi`` over
+    those primes, or the one block of a cross class meeting them is a
+    ``Gpi`` block.  The soluble classes (``Sol``, ``Spi``, ``N``, ``N^r``,
+    ``U``) never hold W, whose chief factor N is insoluble.  As HC/C is
+    isomorphic to H/K, the primes of |W| are those of |A|.
+    """
+    primes = prime_factors(order)
+    if isinstance(F, Cross):
+        F = partition_blocks_for(F, primes)[0]  # W lies in F only if this block has all its primes
+    return isinstance(F, Gpi) and F.primes.issuperset(primes)
+
+
 def is_f_central_oracle(test: MembershipTest, G: Group, factor: ChiefFactor) -> CentralityVerdict:
     """Centrality by testing membership of the factor-action product W.
 
     For an abelian factor W is built and the acting order read off it.  A
-    non-abelian factor has an insoluble W of order |H/K|·|G/C|; no group is
-    built, the class is decided by :func:`insoluble_member`, and a callable
-    predicate, which needs the group, raises :class:`OracleCapExceeded`.
+    non-abelian factor's W, of order |H/K|·|G/C|, is not built: the class is
+    decided by :func:`_holds_non_abelian_product`, and a callable predicate,
+    which needs the group, raises :class:`OracleCapExceeded`.
     """
     if len(factor.primes()) > 1:
         _, acting = _factor_quotient_data(G, factor)
@@ -139,7 +167,7 @@ def is_f_central_oracle(test: MembershipTest, G: Group, factor: ChiefFactor) -> 
             raise OracleCapExceeded(
                 f"a predicate needs the product of a non-abelian factor of order {factor.order}"
             )
-        return CentralityVerdict(factor, insoluble_member(test, order), "oracle", acting, order)
+        return CentralityVerdict(factor, _holds_non_abelian_product(test, order), "oracle", acting, order)
     W = build_factor_action_product(G, factor)
     member = test(W) if callable(test) else formation_member(test, W)
     return CentralityVerdict(factor, member, "oracle", W.order // factor.order, W.order)

@@ -444,7 +444,8 @@ def chain_series_end(gens, degree, derived):
 
 def member_by_chain(F, gens, degree):
     """The chain-level membership rule that decided oracle products above
-    the element enumeration limit, for ``formations.insoluble_member``.
+    the element enumeration limit, for the non-abelian factors' products
+    that ``hypercenter.is_f_central_oracle`` decides from their primes.
 
     Solubility and ``N^r`` come from :func:`chain_series_end`; ``U`` and
     cross classes are decided only for an insoluble non-member and raise

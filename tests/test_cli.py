@@ -23,7 +23,7 @@ def test_analyze_sigma_choice(capsys):
 
 
 def test_analyze_psl27_decides_its_non_abelian_factor(capsys):
-    # the factor-action product has order 28224; it is decided from that order
+    # the factor-action product has order 28224; it is decided from its primes
     psl27 = "perm(7; (0 1 2 3 4 5 6); (1 2)(3 6))"
     for formation, digest in (
         ("Gpi{2,3,7}", "6c7d144a00b3af406c2ee552ebdedc2d"),
@@ -33,6 +33,23 @@ def test_analyze_psl27_decides_its_non_abelian_factor(capsys):
         out = capsys.readouterr().out
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == digest, formation
+
+
+def test_analyze_accepts_printed_spi_class(capsys):
+    code = main(["analyze", "--group", "S4", "--formation", "Spi{2,3}"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "class Spi{2,3}" in out
+
+
+def test_analyze_psl211_cross_class_splitting_its_factor(capsys):
+    # the blocks {2,3,5} and {11} split the simple group's primes, so its one
+    # chief factor is not central: exit 0 with hypercenter order 1
+    psl211 = "perm(12; (0 1 2 3 4 5 6 7 8 9 10); (0 11)(1 10)(2 5)(3 7)(4 8)(6 9))"
+    code = main(["analyze", "--group", psl211, "--formation", "cross[{2,3,5};{11}:spi]"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "hypercenter                      order     1" in out
 
 
 def test_lattice_command(capsys):

@@ -29,6 +29,8 @@ from flab.subgroups import centralizer_of_factor, prime_factors, subgroup_from_m
 from .oracles import local_def_member_by_quotient
 
 CROSS_235 = parse_formation("cross[{2,3}:gpi;{5}:gpi]")
+PSL27 = "perm(7; (0 1 2 3 4 5 6); (1 2)(3 6))"
+PSL211 = "perm(12; (0 1 2 3 4 5 6 7 8 9 10); (0 11)(1 10)(2 5)(3 7)(4 8)(6 9))"
 
 
 def _factor(G, below_order, above_order):
@@ -67,8 +69,8 @@ def test_local_centrality_examples():
 
 def test_oracle_decides_a_non_abelian_factor_by_its_product_order():
     # PSL(2,7) acts on its one chief factor as its own inner automorphisms, so
-    # the product has order 168 * 168 = 28224; it is decided from that order
-    G = make_group("perm(7; (0 1 2 3 4 5 6); (1 2)(3 6))")
+    # the product has order 168 * 168 = 28224; it is decided from its primes
+    G = make_group(PSL27)
     [f] = chief_factors(G)
     gpi237 = Gpi(frozenset({2, 3, 7}))
     cross = [parse_formation(text) for text in ("cross[{2,3,7}]", "cross[{2,3,7}:spi]", "cross[{2,3};{7}]")]
@@ -169,6 +171,24 @@ def test_hypercenter_both_methods_agree_on_corpus():
             assert hypercenter(F, entry.group, method="both").mask == hypercenter(F, entry.group).mask
 
 
+def test_both_centrality_paths_agree_on_non_abelian_factors():
+    # the oracle decides a non-abelian factor's product from its primes; the
+    # local path is the independent check, and the only one for PSL(2,11),
+    # whose product (order 435600) cannot be enumerated
+    cases = {
+        "A5": ("cross[{2,3,5}]", "cross[{2,3};{5}]"),
+        "S5": ("cross[{2,3,5}]", "cross[{2,5};{3}]"),
+        PSL27: ("cross[{2,3,7}]", "cross[{2,3};{7}]"),
+        PSL211: ("cross[{2,3,5,11}]", "cross[{2,3,5};{11}]", "cross[{2,3};{5};{11}]"),
+    }
+    for spec, texts in cases.items():
+        G = make_group(spec)
+        holds, *splits = map(parse_formation, texts)
+        assert hypercenter(holds, G, method="both").order == G.order, spec
+        for F in (NIL, SUPERSOLUBLE, *splits):
+            assert hypercenter(F, G, method="both").order == 1, (spec, format_formation(F))
+
+
 def test_local_hypercenter_builds_no_quotient():
     for spec in ("S4", "SL(2,3)", "D12", "A5", "S5", "sd(C5,C4,n0->n0^2)", "C2 x S4"):
         G = make_group(spec)
@@ -244,7 +264,7 @@ def test_hypercenter_nilpow_sidorov_examples():
 
 def test_nilpow_hypercenter_above_the_element_cap_stops_at_a_fixed_point():
     # A5's chief factor is non-abelian: its oracle product, of order 3600, is
-    # insoluble and decided from its order alone, so a huge r costs what r = 3
+    # insoluble and decided from its primes alone, so a huge r costs what r = 3
     # costs
     G = make_group("A5")
     start = time.perf_counter()
