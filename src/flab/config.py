@@ -4,19 +4,17 @@ All caps are plain module constants, read at call time; only the order
 cap has a per-call override, ``make_group(order_cap=)`` and
 ``Group.elements(limit=)``.  A group's order is the number of its elements,
 so the order cap is also the enumeration cap; every enumerated group gets a
-dense index multiplication table, about 8 MB at order 2000.
+dense index multiplication table, about 8 MB at order 2000.  ``ORDER_CAP``
+itself, not a per-call override, also bounds the degree of a
+``perm(<n>; ...)`` spec, refused before any point is allocated: every group
+within the cap acts faithfully on at most that many points (its regular
+representation), however small its order.
 """
 
 ORDER_CAP = 2000
-"""Largest group order `make_group` will construct, and the default limit of
-``Group.elements``: the enumeration stops past this many elements."""
-
-PERM_DEGREE_CAP = ORDER_CAP
-"""Largest degree of a ``perm(<n>; ...)`` spec; refused before any point is allocated.
-
-Every group within ``ORDER_CAP`` acts faithfully on at most that many points
-(its regular representation), so no constructible group needs more.
-"""
+"""Largest group order `make_group` will construct, the default limit of
+``Group.elements`` (the enumeration stops past this many elements), and the
+largest degree of a ``perm(...)`` spec."""
 
 LATTICE_SUBGROUP_BUDGET = 20000
 """Abort subgroup enumeration past this many subgroups."""

@@ -967,8 +967,9 @@ def _split_atom(text: str) -> tuple:
             raise SpecParseError(f"bad degree in {text!r}") from exc
         if degree < 0:
             raise SpecParseError(f"negative degree in {text!r}")
-        if degree > config.PERM_DEGREE_CAP:
-            raise SpecParseError(f"perm degree {degree} exceeds cap {config.PERM_DEGREE_CAP}")
+        # the configured cap, not make_group's order_cap: a small group may act on many points
+        if degree > config.ORDER_CAP:
+            raise SpecParseError(f"perm degree {degree} exceeds cap {config.ORDER_CAP}")
         return ("perm", degree, segments[1:])
     if text[:1] in ("C", "D", "S", "A") and text[1:].isdigit():
         try:
@@ -981,7 +982,7 @@ def _split_atom(text: str) -> tuple:
 _NAMED = {"C": cyclic, "D": dihedral, "S": symmetric, "A": alternating, "E": elementary_abelian}
 
 
-def _parse_atom(text: str, cap: int) -> Group:
+def _parse_atom(text: str) -> Group:
     text = text.strip()
     kind, *args = _split_atom(text)
     if kind == "Q8":
@@ -990,17 +991,14 @@ def _parse_atom(text: str, cap: int) -> Group:
         return special_linear_2_3()
     if kind == "sd":
         n_spec, h_spec, action_text = args
-        N = _parse_spec(n_spec, cap)
-        H = _parse_spec(h_spec, cap)
-        # both factors are enumerated within the cap; refuse before the action check
-        if N.order * H.order > cap:
-            raise OrderCapExceeded(f"group order {N.order * H.order} of {text!r} exceeds cap {cap}")
+        N = _parse_spec(n_spec)
+        H = _parse_spec(h_spec)
         action = _parse_action(action_text, N, H)
         return semidirect_product(N, H, action, name=text)
     if kind == "perm":
         degree, segments = args
         gens = [Permutation.parse(degree, seg) for seg in segments]
-        return Group(degree, gens, name=text)  # enumerated within the cap by _parse_capped_atom
+        return Group(degree, gens, name=text)
     if kind == "E" and prime_factors(args[0]) != [args[0]]:
         raise SpecParseError(f"{args[0]} is not prime in {text!r}")
     try:
@@ -1016,31 +1014,15 @@ def _split_factors(text: str) -> list[str]:
     return _split_top_level(text, " x ")
 
 
-def _parse_spec(text: str, cap: int) -> Group:
-    """The group of a spec, each atom and each direct product enumerated
-    within the cap; a refusal is an :class:`OrderCapExceeded`."""
+def _parse_spec(text: str) -> Group:
+    """The group of a spec, built with no cap check: :func:`make_group` reads
+    its order first and refuses it there."""
     atoms = _split_factors(text)
-    result = _parse_capped_atom(atoms[0], cap)
+    result = _parse_atom(atoms[0])
     for atom in atoms[1:]:
-        g = _parse_capped_atom(atom, cap)
-        if result.order * g.order > cap:
-            raise OrderCapExceeded(
-                f"group order {result.order * g.order} of {text.strip()!r} exceeds cap {cap}"
-            )
-        result = direct_product(result, g)
+        result = direct_product(result, _parse_atom(atom))
     result.name = text.strip()
     return result
-
-
-def _parse_capped_atom(text: str, cap: int) -> Group:
-    """An atom enumerated with the cap as its limit, so one above it costs
-    at most cap + 1 elements before it is refused."""
-    group = _parse_atom(text, cap)
-    try:
-        group.elements(cap)
-    except CapExceeded:
-        raise OrderCapExceeded(f"group order of {text.strip()!r} exceeds cap {cap}") from None
-    return group
 
 
 def _capped_product(factors: Iterable[int], cap: int) -> int:
@@ -1053,21 +1035,25 @@ def _capped_product(factors: Iterable[int], cap: int) -> int:
     return out
 
 
-def _order_bound(text: str, cap: int) -> int:
-    """A lower bound on the order of the group a spec names, read from the text.
+def _spec_order(text: str, cap: int) -> int:
+    """The order of the group a spec names; values above the cap come back as cap + 1.
 
-    Exact for C, D, S, A, E, Q8, SL(2,3), direct products and sd(...); a
-    perm(...) atom counts as 1, since its order is known only once its
-    elements are enumerated.
-    Values above the cap come back as cap + 1.
+    C, D, S, A, E, Q8, SL(2,3), direct products and sd(...) are read from
+    the text; a perm(...) atom is built and enumerated with the cap as the
+    limit, so one above it costs at most cap + 1 elements.
     """
-    return _capped_product((_atom_order_bound(f, cap) for f in _split_factors(text)), cap)
+    return _capped_product((_atom_order(f, cap) for f in _split_factors(text)), cap)
 
 
-def _atom_order_bound(text: str, cap: int) -> int:
+def _atom_order(text: str, cap: int) -> int:
     kind, *args = _split_atom(text)
     if kind == "sd":
-        return _capped_product((_order_bound(args[0], cap), _order_bound(args[1], cap)), cap)
+        return _capped_product((_spec_order(args[0], cap), _spec_order(args[1], cap)), cap)
+    if kind == "perm":
+        try:
+            return len(_parse_atom(text).elements(cap))
+        except CapExceeded:
+            return cap + 1
     if kind == "E":
         p, k = args
         # p >= 2 passes the cap within cap.bit_length() + 1 factors; k may not fit a C size
@@ -1078,23 +1064,23 @@ def _atom_order_bound(text: str, cap: int) -> int:
         return _capped_product(range(3, args[0] + 1), cap)
     if kind in ("C", "D"):
         return min(args[0], cap + 1)
-    if kind == "perm":
-        return 1
     return 8 if kind == "Q8" else 24
 
 
 def make_group(spec: str, order_cap: int | None = None) -> Group:
     """Parse a group spec and construct the group; enforces the order cap.
 
-    The cap is applied to the order read from the spec before anything is
-    built, then to each atom, direct product and sd(...) as it is built: an
-    atom is enumerated with the cap as the limit, so a perm(...) atom above
-    it costs at most cap + 1 elements, and a product is refused from its
-    factors' orders before it is built (an sd(...) before its action is
-    checked).  Each refusal is an :class:`OrderCapExceeded`, and the group
-    returned is enumerated.
+    The cap is applied once, to the order :func:`_spec_order` reads from the
+    spec, so a spec above it is refused with :class:`OrderCapExceeded`
+    before any named atom is built; only a perm(...) atom is enumerated for
+    its order, with the cap as the limit.  The build then checks no cap:
+    the group returned is enumerated and checked to have the order read.
+    An ``order_cap`` above ``config.ORDER_CAP`` raises the cap for the
+    group, not for the factors of a product or sd(...), which are
+    enumerated within ``config.ORDER_CAP``.
     """
     cap = config.ORDER_CAP if order_cap is None else order_cap
-    if _order_bound(spec, cap) > cap:
+    order = _spec_order(spec, cap)
+    if order > cap:
         raise OrderCapExceeded(f"group order of {spec!r} exceeds cap {cap}")
-    return _parse_spec(spec, cap)
+    return _with_order(_parse_spec(spec), order)

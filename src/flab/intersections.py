@@ -82,13 +82,8 @@ def f_maximal_subgroups(F: FormationExpr, X: Group | SubgroupRef) -> list[Subgro
     """Members of the class that no larger member of the class contains."""
     X = as_ref(X)
     lat = all_subgroups(X.ambient)
-    return _containment_maximal(lat, member_bits(F, lat, lat.sub_rows[lat.index_of(X)]))
-
-
-def _containment_maximal(lat: SubgroupLattice, chosen: int) -> list[SubgroupRef]:
-    """The containment-maximal members among the lattice bits ``chosen``
-    (all inside one subgroup X): those no other chosen member contains."""
-    return [lat.refs[i] for i in bits(chosen) if not lat.sup_rows[i] & chosen & ~(1 << i)]
+    chosen = member_bits(F, lat, lat.sub_rows[lat.index_of(X)])
+    return [lat.refs[i] for i in lat.maximal_idxs(chosen)]
 
 
 def f_maximal_intersection(F: FormationExpr, X: Group | SubgroupRef) -> SubgroupRef:
@@ -224,7 +219,7 @@ def f_subnormalizers(
     for t in bits(lat.sup_rows[hi] & inside):
         if _subnormal(lat, F, hi, t):
             candidate_bits |= 1 << t
-    return SubnormalizerSet(H, tuple(_containment_maximal(lat, candidate_bits)))
+    return SubnormalizerSet(H, tuple(lat.refs[t] for t in lat.maximal_idxs(candidate_bits)))
 
 
 def subnormalizer_intersection(

@@ -49,20 +49,18 @@ class SubgroupLattice:
     def index_of(self, ref: SubgroupRef) -> int:
         return self.index_of_mask[ref.mask]
 
+    def maximal_idxs(self, chosen: int) -> list[int]:
+        """The containment-maximal indices among the lattice bits ``chosen``:
+        those no other chosen subgroup contains."""
+        sup_rows = self.sup_rows
+        return [j for j in bits(chosen) if not sup_rows[j] & chosen & ~(1 << j)]
+
     def maximal_subgroup_idxs(self, i: int) -> list[int]:
         """Indices of the maximal proper subgroups of refs[i]."""
         key = ("maximals", i)
         cached = self.memo.get(key)
         if cached is None:
-            below = self.sub_rows[i] & ~(1 << i)
-            out = []
-            for j in bits(below):
-                # j is maximal in i iff nothing lies strictly between
-                between = self.sup_rows[j] & below & ~(1 << j)
-                if not between:
-                    out.append(j)
-            cached = out
-            self.memo[key] = cached
+            cached = self.memo[key] = self.maximal_idxs(self.sub_rows[i] & ~(1 << i))
         return cached
 
 

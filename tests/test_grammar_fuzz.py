@@ -6,8 +6,8 @@ Every input, well-formed or not, must come back as a value or raise
 of ``_ORDER_CAP``, so well-formed specs are refused by the cap rather than
 built at full size.  Inputs are drawn from each grammar and then mutated a
 few characters at a time, so malformed text near the grammar is covered too.
-A ``perm(<n>; ...)`` degree above ``config.PERM_DEGREE_CAP`` is refused
-before any point is allocated, so mutated degrees of any size are kept.
+A ``perm(<n>; ...)`` degree above ``config.ORDER_CAP`` is refused before
+any point is allocated, so mutated degrees of any size are kept.
 """
 
 from hypothesis import HealthCheck, assume, given, settings

@@ -61,7 +61,7 @@ def test_enumerated_order_matches_stabilizer_chain_on_corpus():
 
 def test_enumeration_stops_past_the_cap():
     # S_2000 is refused once cap + 1 elements are found, and nothing is cached
-    degree = config.PERM_DEGREE_CAP
+    degree = config.ORDER_CAP
     G = symmetric(degree)
     start = time.perf_counter()
     with pytest.raises(CapExceeded):
@@ -134,7 +134,7 @@ def test_order_cap_refuses_before_building(spec, monkeypatch):
 
 
 def test_perm_degree_cap_refuses_before_allocating(monkeypatch):
-    cap = config.PERM_DEGREE_CAP
+    cap = config.ORDER_CAP
     assert make_group(f"perm({cap}; ({cap - 1} 0))").order == 2
 
     def refuse(*args, **kwargs):
@@ -174,10 +174,26 @@ def test_order_cap_refuses_perm_factor_before_enumerating(spec, monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def test_perm_degree_cap_is_the_order_cap_read_at_call_time(monkeypatch):
+    # a group of small order may act on more points than the default cap
+    monkeypatch.setattr(config, "ORDER_CAP", 3000)
+    assert make_group("perm(2500; (0 1))").order == 2
+
+
+def test_order_cap_refuses_named_atom_before_building_it(monkeypatch):
+    # the whole spec's order, perm factor included, is refused before C2000 is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("named atom built before the cap check")
+
+    monkeypatch.setitem(groups_mod._NAMED, "C", refuse)
+    with pytest.raises(OrderCapExceeded, match="exceeds cap 2000"):
+        make_group("C2000 x perm(6; (0 1 2 3 4 5); (0 1))")
+
+
 def test_order_read_from_spec_matches_built_order():
     for entry in build_corpus():
-        assert groups_mod._order_bound(entry.spec, 10**9) == entry.group.order, entry.spec
-    assert groups_mod._order_bound("perm(4; (0,1,2,3)) x C5", 10**9) == 5  # perm counts as 1
+        assert groups_mod._spec_order(entry.spec, 10**9) == entry.group.order, entry.spec
+    assert groups_mod._spec_order("perm(4; (0,1,2,3)) x C5", 10**9) == 20
 
 
 # -- index arithmetic ---------------------------------------------------------
