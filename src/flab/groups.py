@@ -19,7 +19,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
-from math import gcd
+from math import gcd, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -611,71 +611,34 @@ def elementary_abelian(p: int, k: int) -> Group:
 # ---------------------------------------------------------------------------
 
 
-def direct_product(a: Group, b: Group, name: str | None = None) -> Group:
-    """Direct product on deg(a) + deg(b) points."""
-    degree = a.degree + b.degree
+def direct_product(*factors: Group, name: str | None = None) -> Group:
+    """Direct product of the factors, each on its own block of points, in order."""
+    degree = sum(f.degree for f in factors)
     gens = []
-    for g in a.generators:
-        gens.append(Permutation(list(g.images) + list(range(a.degree, degree))))
-    for g in b.generators:
-        gens.append(Permutation(list(range(a.degree)) + [a.degree + v for v in g.images]))
-    return _with_order(Group(degree, gens, name=name or f"{a.name} x {b.name}"), a.order * b.order)
+    offset = 0
+    for f in factors:
+        fixed_below, fixed_above = list(range(offset)), list(range(offset + f.degree, degree))
+        for g in f.generators:
+            gens.append(Permutation(fixed_below + [offset + v for v in g.images] + fixed_above))
+        offset += f.degree
+    G = Group(degree, gens, name=name or " x ".join(str(f.name) for f in factors))
+    return _with_order(G, prod(f.order for f in factors))
 
 
 def _with_order(G: Group, order: int) -> Group:
     """G, enumerated and checked to have the given order: the search stops
     past ``order`` elements, so a wrong product costs at most order + 1."""
-    try:
-        if len(G.elements(order)) == order:
-            return G
-    except CapExceeded:
-        pass
+    if _has_order(G, order):
+        return G
     raise InternalCheckFailure(f"constructed group does not have order {order}")
 
 
-def _extend_elementwise_map(
-    N: Group, gen_images: Sequence[Permutation]
-) -> list[int]:
-    """Extend generator images to a map on all of N; verify it is an automorphism.
-
-    Returns the map as a list over element indices.  Raises ActionError if the
-    assignment does not define an automorphism.
-    """
-    elems = N.elements()
-    idx = N.element_index()
-    for img in gen_images:
-        if img not in idx:
-            raise ActionError("generator image lies outside the target group")
-    fmap: list[int | None] = [None] * len(elems)
-    e = N.identity_idx
-    fmap[e] = e
-    frontier = [e]
-    gen_pairs = [(idx[g], idx[img]) for g, img in zip(N.generators, gen_images)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            fx = fmap[x]
-            assert fx is not None
-            for gi, fi in gen_pairs:
-                y = N.mul(x, gi)
-                fy = N.mul(fx, fi)
-                if fmap[y] is None:
-                    fmap[y] = fy
-                    nxt.append(y)
-                elif fmap[y] != fy:
-                    raise ActionError("images do not respect the relations of N")
-        frontier = nxt
-    result = [v for v in fmap if v is not None]
-    if len(result) != len(elems) or len(set(result)) != len(elems):
-        raise ActionError("image map is not a bijection of N")
-    # full homomorphism check on the multiplication table (desk scale)
-    out = [v for v in fmap]  # type: ignore[misc]
-    n = len(elems)
-    for x in range(n):
-        for y in range(n):
-            if out[N.mul(x, y)] != N.mul(out[x], out[y]):  # type: ignore[index,arg-type]
-                raise ActionError("map is not a homomorphism of N")
-    return out  # type: ignore[return-value]
+def _has_order(G: Group, order: int) -> bool:
+    """Whether G has the given order, enumerating at most order + 1 elements."""
+    try:
+        return len(G.elements(order)) == order
+    except CapExceeded:
+        return False
 
 
 def semidirect_product(
@@ -687,59 +650,68 @@ def semidirect_product(
     """Semidirect product N x| H.
 
     ``action[j][i]`` is the image of ``N.generators[i]`` under the automorphism
-    attached to ``H.generators[j]``; the assignment must extend to a
-    homomorphism H -> Aut(N), which is verified on the multiplication tables.
-    The result acts faithfully on the disjoint union of the element sets of N
-    and H; conjugation by the embedded H-generator j realises exactly
-    ``action[j]`` on the embedded copy of N.
+    attached to ``H.generators[j]``.  The result G acts on the disjoint union
+    of the element sets of N and H.  N-generator i acts as rho(n_i), right
+    multiplication, on the N-points and fixes the H-points; H-generator j
+    acts as sigma_j: on the N-points as the breadth-first extension of
+    ``action[j]`` (x * n_i -> f(x) * image_i), on the H-points as rho(h_j).
+    Conjugation by the embedded H-generator j realises ``action[j]`` on the
+    embedded copy of N.
+
+    The assignment extends to a homomorphism H -> Aut(N) iff |G| = |N||H|,
+    so that is the one check: the enumeration stops at |N||H| + 1 elements,
+    and every other case, a map that is not a bijection of N included,
+    raises :class:`ActionError`.  Proof of the hard direction:
+
+    - Restriction to the H-points maps G onto H's regular copy, with kernel
+      K containing rho(N).  So |G| >= |N||H|, with equality iff K = rho(N).
+    - Each sigma_j then normalizes the regular group rho(N) and fixes the
+      identity point.  So on N it lies in Hol(N)_e = Aut(N) (Dixon &
+      Mortimer, *Permutation Groups*, 1996), and it is the automorphism
+      that sends n_i to ``action[j][i]``, which the extension agrees with.
+    - <sigma_j> fixes that point and meets rho(N) trivially.  So it maps
+      isomorphically onto H, and h_j -> sigma_j|_N extends to a homomorphism
+      H -> Aut(N).
+
+    Conversely, a valid action makes G the image of N x| H, acting
+    faithfully, so |G| = |N||H|.
     """
     if len(action) != len(H.generators):
         raise ActionError("need one automorphism per generator of H")
-    auto_maps = []
-    for images in action:
-        if len(images) != len(N.generators):
-            raise ActionError("each automorphism must list one image per generator of N")
-        auto_maps.append(_extend_elementwise_map(N, images))
-
-    n_elems = N.elements()
-    h_elems = H.elements()
     n_idx = N.element_index()
-    h_idx = H.element_index()
-    n_count, h_count = len(n_elems), len(h_elems)
-
-    # verify the assignment extends to a homomorphism H -> Aut(N)
-    phi: list[tuple[int, ...] | None] = [None] * h_count
-    ident_map = tuple(range(n_count))
-    phi[H.identity_idx] = ident_map
-    frontier = [H.identity_idx]
-    h_gen_pairs = [(h_idx[g], tuple(m)) for g, m in zip(H.generators, auto_maps)]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            py = phi[y]
-            assert py is not None
-            for gj, fj in h_gen_pairs:
-                z = H.mul(y, gj)
-                pz = tuple(fj[v] for v in py)  # apply phi(y) then phi(gen)
-                if phi[z] is None:
-                    phi[z] = pz
-                    nxt.append(z)
-                elif phi[z] != pz:
-                    raise ActionError("action does not extend to a homomorphism H -> Aut(N)")
-        frontier = nxt
-
+    n_count, h_count = N.order, H.order
     degree = n_count + h_count
-    gens = []
-    for g in N.generators:
-        gi = n_idx[g]
-        images = [N.mul(x, gi) for x in range(n_count)]
-        images += list(range(n_count, degree))
-        gens.append(Permutation(images))
-    for (gj, fj), g in zip(h_gen_pairs, H.generators):
-        images = list(fj)
-        images += [n_count + H.mul(y, gj) for y in range(h_count)]
-        gens.append(Permutation(images))
-    return _with_order(Group(degree, gens, name=name or f"sd({N.name},{H.name})"), N.order * H.order)
+    n_gens = N.gen_idxs()
+    gens = [
+        Permutation([N.mul(x, g) for x in range(n_count)] + list(range(n_count, degree)))
+        for g in n_gens
+    ]
+    for images, hj in zip(action, H.gen_idxs()):
+        if len(images) != len(n_gens):
+            raise ActionError("each automorphism must list one image per generator of N")
+        if any(img not in n_idx for img in images):
+            raise ActionError("generator image lies outside the target group")
+        pairs = [(g, n_idx[img]) for g, img in zip(n_gens, images)]
+        f = [-1] * n_count
+        f[N.identity_idx] = N.identity_idx
+        frontier = [N.identity_idx]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g, img in pairs:
+                    y = N.mul(x, g)
+                    if f[y] < 0:
+                        f[y] = N.mul(f[x], img)
+                        nxt.append(y)
+            frontier = nxt
+        try:
+            gens.append(Permutation(f + [n_count + H.mul(y, hj) for y in range(h_count)]))
+        except ValueError as exc:
+            raise ActionError("image map is not a bijection of N") from exc
+    G = Group(degree, gens, name=name or f"sd({N.name},{H.name})")
+    if not _has_order(G, n_count * h_count):
+        raise ActionError("action does not extend to a homomorphism H -> Aut(N)")
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -940,8 +912,7 @@ def _parse_action(text: str, N: Group, H: Group) -> list[list[Permutation]]:
 
 
 def _split_atom(text: str) -> tuple:
-    """An atom spec as ``(kind, *arguments)``, numbers parsed; nothing is built."""
-    text = text.strip()
+    """A stripped atom spec as ``(kind, *arguments)``, numbers parsed; nothing is built."""
     if text in ("Q8", "SL(2,3)"):
         return (text,)
     if text.startswith("E(") and text.endswith(")"):
@@ -967,7 +938,7 @@ def _split_atom(text: str) -> tuple:
             raise SpecParseError(f"bad degree in {text!r}") from exc
         if degree < 0:
             raise SpecParseError(f"negative degree in {text!r}")
-        # the configured cap, not make_group's order_cap: a small group may act on many points
+        # every group within the cap acts faithfully on at most that many points
         if degree > config.ORDER_CAP:
             raise SpecParseError(f"perm degree {degree} exceeds cap {config.ORDER_CAP}")
         return ("perm", degree, segments[1:])
@@ -979,50 +950,15 @@ def _split_atom(text: str) -> tuple:
     raise SpecParseError(f"unrecognised group spec {text!r}")
 
 
-_NAMED = {"C": cyclic, "D": dihedral, "S": symmetric, "A": alternating, "E": elementary_abelian}
-
-
-def _parse_atom(text: str) -> Group:
-    text = text.strip()
-    kind, *args = _split_atom(text)
-    if kind == "Q8":
-        return quaternion8()
-    if kind == "SL(2,3)":
-        return special_linear_2_3()
-    if kind == "sd":
-        n_spec, h_spec, action_text = args
-        N = _parse_spec(n_spec)
-        H = _parse_spec(h_spec)
-        action = _parse_action(action_text, N, H)
-        return semidirect_product(N, H, action, name=text)
-    if kind == "perm":
-        degree, segments = args
-        gens = [Permutation.parse(degree, seg) for seg in segments]
-        return Group(degree, gens, name=text)
-    if kind == "E" and prime_factors(args[0]) != [args[0]]:
-        raise SpecParseError(f"{args[0]} is not prime in {text!r}")
-    try:
-        return _NAMED[kind](*args)
-    except ValueError as exc:
-        raise SpecParseError(str(exc)) from exc
-
-
-def _split_factors(text: str) -> list[str]:
-    """The direct factors of a spec: its atoms joined by ' x ' outside brackets."""
-    if not text.strip():
-        raise SpecParseError("empty group spec")
-    return _split_top_level(text, " x ")
-
-
-def _parse_spec(text: str) -> Group:
-    """The group of a spec, built with no cap check: :func:`make_group` reads
-    its order first and refuses it there."""
-    atoms = _split_factors(text)
-    result = _parse_atom(atoms[0])
-    for atom in atoms[1:]:
-        result = direct_product(result, _parse_atom(atom))
-    result.name = text.strip()
-    return result
+_NAMED = {
+    "C": cyclic,
+    "D": dihedral,
+    "S": symmetric,
+    "A": alternating,
+    "E": elementary_abelian,
+    "Q8": quaternion8,
+    "SL(2,3)": special_linear_2_3,
+}
 
 
 def _capped_product(factors: Iterable[int], cap: int) -> int:
@@ -1035,52 +971,88 @@ def _capped_product(factors: Iterable[int], cap: int) -> int:
     return out
 
 
-def _spec_order(text: str, cap: int) -> int:
-    """The order of the group a spec names; values above the cap come back as cap + 1.
+def _read_spec(text: str, cap: int) -> tuple[int, Callable[[], Group]]:
+    """The order of the group a spec names, cap + 1 once it passes the cap,
+    and a function that builds the group, named by the stripped text.
 
-    C, D, S, A, E, Q8, SL(2,3), direct products and sd(...) are read from
-    the text; a perm(...) atom is built and enumerated with the cap as the
-    limit, so one above it costs at most cap + 1 elements.
+    Each atom is split and checked once, and nothing named is built: the
+    order of C, D, S, A, E, Q8, SL(2,3), direct products and sd(...) is read
+    from the text.  A perm(...) atom is built and enumerated with the cap as
+    the limit, so one above it costs at most cap + 1 elements, and its build
+    returns that group.  Direct factors are joined in one product.
     """
-    return _capped_product((_atom_order(f, cap) for f in _split_factors(text)), cap)
+    if not text.strip():
+        raise SpecParseError("empty group spec")
+    name = text.strip()
+    atoms = [_read_atom(atom, cap) for atom in _split_top_level(text, " x ")]
+
+    def build() -> Group:
+        if len(atoms) > 1:
+            return direct_product(*(build_atom() for _, build_atom in atoms), name=name)
+        G = atoms[0][1]()
+        G.name = name
+        return G
+
+    return _capped_product((order for order, _ in atoms), cap), build
 
 
-def _atom_order(text: str, cap: int) -> int:
+def _read_atom(text: str, cap: int) -> tuple[int, Callable[[], Group]]:
+    text = text.strip()
     kind, *args = _split_atom(text)
     if kind == "sd":
-        return _capped_product((_spec_order(args[0], cap), _spec_order(args[1], cap)), cap)
+        n_spec, h_spec, action_text = args
+        n_order, build_n = _read_spec(n_spec, cap)
+        h_order, build_h = _read_spec(h_spec, cap)
+
+        def build_sd() -> Group:
+            N, H = build_n(), build_h()
+            return semidirect_product(N, H, _parse_action(action_text, N, H), name=text)
+
+        return _capped_product((n_order, h_order), cap), build_sd
     if kind == "perm":
+        degree, segments = args
+        G = Group(degree, [Permutation.parse(degree, seg) for seg in segments], name=text)
         try:
-            return len(_parse_atom(text).elements(cap))
+            order = len(G.elements(cap))
         except CapExceeded:
-            return cap + 1
+            order = cap + 1
+        return order, lambda: G
     if kind == "E":
         p, k = args
         # p >= 2 passes the cap within cap.bit_length() + 1 factors; k may not fit a C size
-        return _capped_product(repeat(p, min(k, cap.bit_length() + 1)), cap) if p >= 2 else 1
-    if kind == "S":
-        return _capped_product(range(2, args[0] + 1), cap)
-    if kind == "A":
-        return _capped_product(range(3, args[0] + 1), cap)
-    if kind in ("C", "D"):
-        return min(args[0], cap + 1)
-    return 8 if kind == "Q8" else 24
+        order = _capped_product(repeat(p, min(k, cap.bit_length() + 1)), cap) if p >= 2 else 1
+    elif kind == "S":
+        order = _capped_product(range(2, args[0] + 1), cap)
+    elif kind == "A":
+        order = _capped_product(range(3, args[0] + 1), cap)
+    elif kind in ("C", "D"):
+        order = min(args[0], cap + 1)
+    else:
+        order = 8 if kind == "Q8" else 24
+
+    def build_named() -> Group:
+        if kind == "E" and prime_factors(args[0]) != [args[0]]:
+            raise SpecParseError(f"{args[0]} is not prime in {text!r}")
+        try:
+            return _NAMED[kind](*args)
+        except ValueError as exc:
+            raise SpecParseError(str(exc)) from exc
+
+    return order, build_named
 
 
-def make_group(spec: str, order_cap: int | None = None) -> Group:
+def make_group(spec: str) -> Group:
     """Parse a group spec and construct the group; enforces the order cap.
 
-    The cap is applied once, to the order :func:`_spec_order` reads from the
-    spec, so a spec above it is refused with :class:`OrderCapExceeded`
-    before any named atom is built; only a perm(...) atom is enumerated for
-    its order, with the cap as the limit.  The build then checks no cap:
+    One walk over the spec (:func:`_read_spec`) reads its exact order and
+    checks every atom before anything named is built; a spec above
+    ``config.ORDER_CAP``, read at call time, is refused there with
+    :class:`OrderCapExceeded`.  Only a perm(...) atom is enumerated for its
+    order, once, with the cap as the limit.  The build then checks no cap:
     the group returned is enumerated and checked to have the order read.
-    An ``order_cap`` above ``config.ORDER_CAP`` raises the cap for the
-    group, not for the factors of a product or sd(...), which are
-    enumerated within ``config.ORDER_CAP``.
     """
-    cap = config.ORDER_CAP if order_cap is None else order_cap
-    order = _spec_order(spec, cap)
+    cap = config.ORDER_CAP
+    order, build = _read_spec(spec, cap)
     if order > cap:
         raise OrderCapExceeded(f"group order of {spec!r} exceeds cap {cap}")
-    return _with_order(_parse_spec(spec), order)
+    return _with_order(build(), order)

@@ -12,6 +12,7 @@ from .subgroups import (
     SubgroupRef,
     as_ref,
     bits,
+    centralizer_of_factor,
     commutator_subgroup,
     full_subgroup,
     normal_subgroup_masks,
@@ -141,17 +142,12 @@ def chief_factors(X: Group | SubgroupRef) -> list[ChiefFactor]:
 def upper_central_series(X: Group | SubgroupRef) -> list[SubgroupRef]:
     """1 = Z_0 <= Z_1 <= ... up to the stable term (the hypercenter of X)."""
     X = as_ref(X)
-    G = X.ambient
-    series = [trivial_subgroup(G)]
+    series = [trivial_subgroup(X.ambient)]
     while True:
-        z = series[-1].mask
-        nxt = 0
-        for g in bits(X.mask):
-            if all((z >> G.comm(g, s)) & 1 for s in X.gen_idxs):
-                nxt |= 1 << g
-        if nxt == z:
+        nxt = centralizer_of_factor(X, X, series[-1])
+        if nxt.mask == series[-1].mask:
             return series
-        series.append(subgroup_from_mask(G, nxt))
+        series.append(nxt)
 
 
 def derived_series(X: Group | SubgroupRef) -> list[SubgroupRef]:

@@ -18,12 +18,13 @@ or subgroup groups: the local class test, O_{p',p}, the Fitting length and the c
 series of a subgroup, and the constructions that now have one kernel each:
 the commutator subgroup as the closure of all |A|·|B| commutators, the set
 product one pair at a time, and the Fitting subgroup as the closure of the
-join of the O_p; and two kernels that now skip work: the subgroup lattice
+join of the O_p; and kernels that now skip work: the subgroup lattice
 that joins each class representative with every prime-power cyclic
 subgroup outside it, ``subgroups_by_all_joins``, the multiplication
 table built from Permutation products, ``table_by_permutation_products``,
-and the normal subgroups from one closure per conjugacy class,
-``normal_subgroup_masks_by_classes``),
+the normal subgroups from one closure per conjugacy class,
+``normal_subgroup_masks_by_classes``, and the semidirect action checked map
+by map, relations, bijection and homomorphism, ``semidirect_action_by_maps``),
 each the library's algorithm before its exact shortcut, before the lattice
 became its source, before it read sections as masks in the ambient group,
 before one routine served every caller, or before it was pruned.
@@ -818,3 +819,53 @@ def normal_subgroup_masks_by_classes(X) -> tuple[int, ...]:
                     nxt.append(joined)
         frontier = nxt
     return tuple(sorted(result, key=lambda m: (m.bit_count(), m)))
+
+
+def semidirect_action_by_maps(N, H, action) -> bool:
+    """Whether ``action`` (images of N's generators, one list per generator
+    of H) extends to a homomorphism H -> Aut(N), by the maps themselves: each
+    block is extended to a map on N's elements, checked against N's
+    relations, for a bijection and on every pair for a homomorphism, and the
+    automorphisms are then walked over H's Cayley graph.  The library
+    decides this by the order of the group the action generates."""
+    idx = N.element_index()
+    n = N.order
+    auto_maps = []
+    for images in action:
+        if any(img not in idx for img in images):
+            return False
+        fmap = [None] * n
+        fmap[N.identity_idx] = N.identity_idx
+        frontier = [N.identity_idx]
+        pairs = [(idx[g], idx[img]) for g, img in zip(N.generators, images)]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for gi, fi in pairs:
+                    y, fy = N.mul(x, gi), N.mul(fmap[x], fi)
+                    if fmap[y] is None:
+                        fmap[y] = fy
+                        nxt.append(y)
+                    elif fmap[y] != fy:
+                        return False
+            frontier = nxt
+        if len(set(fmap)) != n:
+            return False
+        if any(fmap[N.mul(x, y)] != N.mul(fmap[x], fmap[y]) for x in range(n) for y in range(n)):
+            return False
+        auto_maps.append(fmap)
+    phi = {H.identity_idx: tuple(range(n))}
+    frontier = [H.identity_idx]
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for g, fmap in zip(H.generators, auto_maps):
+                z = H.mul(y, H.idx_of(g))
+                pz = tuple(fmap[v] for v in phi[y])
+                if z not in phi:
+                    phi[z] = pz
+                    nxt.append(z)
+                elif phi[z] != pz:
+                    return False
+        frontier = nxt
+    return True

@@ -196,6 +196,8 @@ def test_closed_stdout_exits_141_without_traceback():
         ["verify", "--check", "theorem-a", "--partition", "{0,1}"],
         ["analyze", "--group", "perm(3; (0 1 1))"],
         ["analyze", "--group", "perm(3; (0 0))"],
+        ["analyze", "--group", "sd(C5,C2,n0->n0^2)"],  # an automorphism of order 4 for C2
+        ["analyze", "--group", "sd(C4,C2,n0->n0^2)"],  # not a bijection of C4
     ],
 )
 def test_bad_expression_exits_2_with_one_error_line(argv, capsys):

@@ -2,17 +2,22 @@
 
 Every input, well-formed or not, must come back as a value or raise
 ``SpecParseError`` or ``CapExceeded``, and no example may take longer than
-``_DEADLINE_MS``.  Group specs go through ``make_group`` with an order cap
-of ``_ORDER_CAP``, so well-formed specs are refused by the cap rather than
-built at full size.  Inputs are drawn from each grammar and then mutated a
-few characters at a time, so malformed text near the grammar is covered too.
-A ``perm(<n>; ...)`` degree above ``config.ORDER_CAP`` is refused before
-any point is allocated, so mutated degrees of any size are kept.
+``_DEADLINE_MS``.  Group specs go through ``make_group`` with
+``config.ORDER_CAP`` patched to ``_ORDER_CAP`` inside the test body (a
+function-scoped fixture under ``@given`` trips hypothesis's health check),
+so well-formed specs are refused by the cap rather than built at full size.
+Inputs are drawn from each grammar and then mutated a few characters at a
+time, so malformed text near the grammar is covered too.  A
+``perm(<n>; ...)`` degree above the cap is refused before any point is
+allocated, so mutated degrees of any size are kept.
 """
+
+from unittest import mock
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from flab import config
 from flab.checks import parse_partition
 from flab.errors import CapExceeded, SpecParseError
 from flab.formations import parse_formation
@@ -99,11 +104,12 @@ _known_specs = st.sampled_from([
 @_FUZZ
 @given(_mutated(st.one_of(_specs, _known_specs), _SPEC_ALPHABET))
 def test_group_specs_parse_or_refuse(spec):
-    try:
-        G = make_group(spec, order_cap=_ORDER_CAP)
-    except (SpecParseError, CapExceeded):
-        return
-    assert 1 <= G.order <= _ORDER_CAP
+    with mock.patch.object(config, "ORDER_CAP", _ORDER_CAP):
+        try:
+            G = make_group(spec)
+        except (SpecParseError, CapExceeded):
+            return
+        assert 1 <= G.order <= _ORDER_CAP
 
 
 # -- class expressions ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -24,7 +25,13 @@ from flab.perms import Permutation
 from flab.lattice import all_subgroups
 from flab.subgroups import commutator_subgroup, full_subgroup, subgroup_from_idxs
 
-from .oracles import closure, commutator_gens, element_order_histogram, elements_of
+from .oracles import (
+    closure,
+    commutator_gens,
+    element_order_histogram,
+    elements_of,
+    semidirect_action_by_maps,
+)
 
 
 # -- orders: the enumeration and the stabilizer-chain oracle ------------------
@@ -103,9 +110,16 @@ def test_elements_cap():
         G.elements(limit=100)
 
 
-def test_order_cap():
+def test_order_cap(monkeypatch):
+    monkeypatch.setattr(config, "ORDER_CAP", 500)
     with pytest.raises(CapExceeded):
-        make_group("C999", order_cap=500)
+        make_group("C999")
+
+
+def test_order_cap_is_read_at_call_time_for_every_factor(monkeypatch):
+    # the factors of a product are enumerated within the one cap too
+    monkeypatch.setattr(config, "ORDER_CAP", 6000)
+    assert make_group("C2 x C2500").order == 5000
 
 
 @pytest.mark.parametrize(
@@ -167,10 +181,11 @@ def test_order_cap_refuses_perm_factor_before_enumerating(spec, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("action checked before the cap check")
 
-    monkeypatch.setattr(groups_mod, "_extend_elementwise_map", refuse)
+    monkeypatch.setattr(groups_mod, "semidirect_product", refuse)
+    monkeypatch.setattr(config, "ORDER_CAP", 200)
     start = time.perf_counter()
     with pytest.raises(OrderCapExceeded):
-        make_group(spec, order_cap=200)
+        make_group(spec)
     assert time.perf_counter() - start < 1.0
 
 
@@ -192,8 +207,26 @@ def test_order_cap_refuses_named_atom_before_building_it(monkeypatch):
 
 def test_order_read_from_spec_matches_built_order():
     for entry in build_corpus():
-        assert groups_mod._spec_order(entry.spec, 10**9) == entry.group.order, entry.spec
-    assert groups_mod._spec_order("perm(4; (0,1,2,3)) x C5", 10**9) == 20
+        order, build = groups_mod._read_spec(entry.spec, 10**9)
+        assert order == entry.group.order == build().order, entry.spec
+    assert groups_mod._read_spec("perm(4; (0,1,2,3)) x C5", 10**9)[0] == 20
+
+
+def test_each_spec_group_is_enumerated_once(monkeypatch):
+    enumerated = []
+    enumerate_group = Group._enumerate
+
+    def counting(self, cap):
+        enumerated.append(self.name)
+        return enumerate_group(self, cap)
+
+    monkeypatch.setattr(Group, "_enumerate", counting)
+    make_group("perm(4; (0 1)(2 3); (0 2))")
+    assert enumerated == ["perm(4; (0 1)(2 3); (0 2))"]
+    enumerated.clear()
+    # the factors are enumerated for their orders, the product once, and no C2 x C3 is built
+    make_group("C2 x C3 x C5")
+    assert sorted(enumerated) == ["C2", "C2 x C3 x C5", "C3", "C5"]
 
 
 # -- index arithmetic ---------------------------------------------------------
@@ -315,6 +348,29 @@ def test_semidirect_rejects_non_homomorphism():
     bad = [[N.generators[0] ** 2]]
     with pytest.raises(ActionError):
         semidirect_product(N, H, bad)
+
+
+def test_semidirect_order_check_agrees_with_the_action_maps():
+    # every assignment of the generator images over a small N x H family:
+    # the order of the group generated decides exactly what the maps decide
+    valid = 0
+    for n_spec in ("C2", "C3", "C4", "C5", "C6", "C7", "E(2^2)", "S3", "Q8", "D8"):
+        N = make_group(n_spec)
+        k = len(N.generators)
+        for h_spec in ("C2", "C3", "C4", "E(2^2)", "S3"):
+            H = make_group(h_spec)
+            for flat in itertools.product(N.elements(), repeat=k * len(H.generators)):
+                action = [list(flat[j * k:(j + 1) * k]) for j in range(len(H.generators))]
+                try:
+                    G = semidirect_product(N, H, action)
+                except ActionError:
+                    built = False
+                else:
+                    assert G.order == N.order * H.order
+                    built = True
+                assert built == semidirect_action_by_maps(N, H, action), (n_spec, h_spec, action)
+                valid += built
+    assert valid == 296
 
 
 # -- quotient -----------------------------------------------------------------
