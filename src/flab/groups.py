@@ -4,12 +4,15 @@ A :class:`Group` is an immutable value built one of two ways.  A group from
 a spec (a named constructor, a product or ``perm(...)``) is given by its
 degree and generator list: a breadth-first enumeration, which stops as soon
 as it passes the order cap, finds its elements, and its order is their
-number.  A group from :meth:`Group.from_table` (a quotient or any section
-X/N, read off the parent's right cosets by :func:`coset_group`, or an oracle
-product) is given by its multiplication table: its order is the number of
-rows, and its permutations, the right regular representation, are made only
-if asked for.  Either way the index multiplication table and other caches
-are populated lazily and written once.  :class:`StabilizerChain` (a
+number.  The enumeration keeps only index-level facts (order, identity,
+generator indices and the generators' table rows); the element
+permutations are rebuilt from the table only if asked for.  A group from
+:meth:`Group.from_table` (a quotient or any section X/N, read off the
+parent's right cosets by :func:`coset_group`, or an oracle product) is given
+by its multiplication table: its order is the number of rows, and its
+permutations, the right regular representation, are made only if asked for.
+Either way the index multiplication table and other caches are populated
+lazily and written once.  :class:`StabilizerChain` (a
 deterministic Schreier-Sims chain) is kept as public API; no library path
 builds one.
 """
@@ -212,9 +215,10 @@ class Group:
     """A finite group; its elements are the indices 0..order-1.
 
     A group built from generators acts on points 0..degree-1 and indexes its
-    elements in sorted order of their image tuples.  A group built by
-    :meth:`from_table` starts from its table and makes permutations only on
-    request.  Instances are immutable; all lazy caches are write-once and
+    elements in sorted order of their image tuples; once enumerated it keeps
+    its table, not its permutations.  A group built by :meth:`from_table`
+    starts from its table.  Either kind makes permutations only on request.
+    Instances are immutable; all lazy caches are write-once and
     idempotent, so sharing a Group between threads is safe in the
     benign-race sense.
     """
@@ -291,7 +295,7 @@ class Group:
         """The number of elements; a group given by generators is enumerated
         for it, and one above the order cap raises :class:`CapExceeded`."""
         if self._order is None:
-            self.elements()
+            self._enumerate(config.ORDER_CAP)
         return self._order  # type: ignore[return-value]
 
     @property
@@ -314,31 +318,37 @@ class Group:
     # -- element enumeration -------------------------------------------------
 
     def elements(self, limit: int | None = None) -> tuple[Permutation, ...]:
-        """All elements as permutations, in index order; errors if the order
-        exceeds ``limit`` (default ``ORDER_CAP``).
+        """All elements as permutations, in index order, made on request and
+        kept; errors if the order exceeds ``limit`` (default ``ORDER_CAP``).
 
-        For a group built from generators this enumerates the group, which
-        fixes its order and its indexing (sorted by image tuple); a table
-        group makes the permutations of its existing indices.
+        A group built from generators is enumerated first if it has not
+        been, which fixes its order and its indexing (sorted by image
+        tuple); its permutations are then rebuilt from the table
+        (:meth:`_walk_elements`).  A table group makes the permutations of
+        its existing indices.
         """
         cap = config.ORDER_CAP if limit is None else limit
+        if self._order is None:
+            self._enumerate(cap)
         if self._elements is None:
-            if self._perm_of is None:
-                self._elements = self._enumerate(cap)
-            elif self._order > cap:  # type: ignore[operator]
+            if self._order > cap:  # type: ignore[operator]
                 raise CapExceeded(f"order {self._order} exceeds cap {cap}")
+            if self._perm_of is None:
+                self._elements = self._walk_elements()
             else:
                 self._elements = tuple(map(self._perm_of, range(self._order)))  # type: ignore[arg-type]
-        elif limit is not None and len(self._elements) > limit:
-            raise CapExceeded(f"order {len(self._elements)} exceeds cap {limit}")
+        elif limit is not None and self._order > limit:  # type: ignore[operator]
+            raise CapExceeded(f"order {self._order} exceeds cap {limit}")
         return self._elements
 
-    def _enumerate(self, cap: int) -> tuple[Permutation, ...]:
+    def _enumerate(self, cap: int) -> None:
         """Breadth-first search over image tuples that keeps each element's
-        generator products as positions: once the elements are sorted, these
-        give the order, the generators' indices and table rows
-        (``_gen_rows``).  It raises :class:`CapExceeded` as soon as it has
-        found cap + 1 elements."""
+        generator products as positions: once the elements are sorted by
+        image tuple, these give the order, the identity's and generators'
+        indices and the generators' table rows (``_gen_rows``), which is
+        all the group keeps; the image tuples are dropped.  It raises
+        :class:`CapExceeded` as soon as it has found cap + 1 elements, and
+        then sets nothing."""
         gens = [g.images for g in self.generators]
         found = [tuple(range(self.degree))]
         position = {found[0]: 0}
@@ -360,7 +370,28 @@ class Group:
         self._gen_idxs = tuple(rank[out[0]] for out in products)
         typecode = _typecode(n)
         self._gen_rows = [array(typecode, (rank[out[k]] for k in order)) for out in products]
-        return tuple(Permutation._unsafe(found[k]) for k in order)
+
+    def _walk_elements(self) -> tuple[Permutation, ...]:
+        """The permutations of an enumerated group, by index, rebuilt by a
+        breadth-first walk out from the identity over its table:
+        ``perm(table[g][x]) = perm(x) * gen_g``."""
+        table = self.table
+        steps = [(table[g], p.images.__getitem__) for g, p in zip(self.gen_idxs(), self.generators)]
+        e = self._identity_idx
+        perms: list[Permutation | None] = [None] * self._order  # type: ignore[operator]
+        perms[e] = self.identity()  # type: ignore[index]
+        frontier = [e]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                images = perms[x].images  # type: ignore[index,union-attr]
+                for row, image in steps:
+                    y = row[x]
+                    if perms[y] is None:
+                        perms[y] = Permutation._unsafe(tuple(map(image, images)))
+                        nxt.append(y)
+            frontier = nxt
+        return tuple(perms)  # type: ignore[arg-type]
 
     def element_index(self) -> dict[Permutation, int]:
         if self._index is None:
@@ -370,9 +401,8 @@ class Group:
     @property
     def identity_idx(self) -> int:
         if self._identity_idx is None:
-            self.elements()
-        assert self._identity_idx is not None
-        return self._identity_idx
+            self._enumerate(config.ORDER_CAP)
+        return self._identity_idx  # type: ignore[return-value]
 
     def idx_of(self, p: Permutation) -> int:
         return self.element_index()[p]
@@ -391,7 +421,6 @@ class Group:
         and the gather is ``bytes(r_g).translate(bytes(r_a) + pad)``, in C;
         above it, one ``itemgetter(*r_g)`` per generator.
         """
-        self.elements()
         n = self.order
         e = self.identity_idx
         typecode = _typecode(n)
@@ -502,7 +531,7 @@ class Group:
 
     def gen_idxs(self) -> tuple[int, ...]:
         if self._gen_idxs is None:
-            self.elements()
+            self._enumerate(config.ORDER_CAP)
         return self._gen_idxs  # type: ignore[return-value]
 
 
@@ -611,8 +640,13 @@ def elementary_abelian(p: int, k: int) -> Group:
 # ---------------------------------------------------------------------------
 
 
-def direct_product(*factors: Group, name: str | None = None) -> Group:
-    """Direct product of the factors, each on its own block of points, in order."""
+def direct_product(*factors: Group, name: str | None = None, order: int | None = None) -> Group:
+    """Direct product of the factors, each on its own block of points, in order.
+
+    The product is enumerated and checked to have ``order``, by default the
+    product of the factors' orders, which enumerates each factor; a caller
+    that already knows the order passes it, and no factor is enumerated.
+    """
     degree = sum(f.degree for f in factors)
     gens = []
     offset = 0
@@ -622,7 +656,7 @@ def direct_product(*factors: Group, name: str | None = None) -> Group:
             gens.append(Permutation(fixed_below + [offset + v for v in g.images] + fixed_above))
         offset += f.degree
     G = Group(degree, gens, name=name or " x ".join(str(f.name) for f in factors))
-    return _with_order(G, prod(f.order for f in factors))
+    return _with_order(G, prod(f.order for f in factors) if order is None else order)
 
 
 def _with_order(G: Group, order: int) -> Group:
@@ -635,10 +669,18 @@ def _with_order(G: Group, order: int) -> Group:
 
 def _has_order(G: Group, order: int) -> bool:
     """Whether G has the given order, enumerating at most order + 1 elements."""
-    try:
-        return len(G.elements(order)) == order
-    except CapExceeded:
-        return False
+    return _capped_order(G, order) == order
+
+
+def _capped_order(G: Group, cap: int) -> int:
+    """G's order, or cap + 1 if it passes the cap; a group not yet
+    enumerated is enumerated with the cap as the limit."""
+    if G._order is None:
+        try:
+            G._enumerate(cap)
+        except CapExceeded:
+            return cap + 1
+    return min(G._order, cap + 1)  # type: ignore[type-var]
 
 
 def semidirect_product(
@@ -979,21 +1021,23 @@ def _read_spec(text: str, cap: int) -> tuple[int, Callable[[], Group]]:
     order of C, D, S, A, E, Q8, SL(2,3), direct products and sd(...) is read
     from the text.  A perm(...) atom is built and enumerated with the cap as
     the limit, so one above it costs at most cap + 1 elements, and its build
-    returns that group.  Direct factors are joined in one product.
+    returns that group.  Direct factors are joined in one product, which is
+    checked against the order read, so no factor is enumerated for it.
     """
     if not text.strip():
         raise SpecParseError("empty group spec")
     name = text.strip()
     atoms = [_read_atom(atom, cap) for atom in _split_top_level(text, " x ")]
+    order = _capped_product((atom_order for atom_order, _ in atoms), cap)
 
     def build() -> Group:
         if len(atoms) > 1:
-            return direct_product(*(build_atom() for _, build_atom in atoms), name=name)
+            return direct_product(*(build_atom() for _, build_atom in atoms), name=name, order=order)
         G = atoms[0][1]()
         G.name = name
         return G
 
-    return _capped_product((order for order, _ in atoms), cap), build
+    return order, build
 
 
 def _read_atom(text: str, cap: int) -> tuple[int, Callable[[], Group]]:
@@ -1012,11 +1056,7 @@ def _read_atom(text: str, cap: int) -> tuple[int, Callable[[], Group]]:
     if kind == "perm":
         degree, segments = args
         G = Group(degree, [Permutation.parse(degree, seg) for seg in segments], name=text)
-        try:
-            order = len(G.elements(cap))
-        except CapExceeded:
-            order = cap + 1
-        return order, lambda: G
+        return _capped_order(G, cap), lambda: G
     if kind == "E":
         p, k = args
         # p >= 2 passes the cap within cap.bit_length() + 1 factors; k may not fit a C size

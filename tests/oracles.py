@@ -22,7 +22,9 @@ join of the O_p; and kernels that now skip work: the subgroup lattice
 that joins each class representative with every prime-power cyclic
 subgroup outside it, ``subgroups_by_all_joins``, the multiplication
 table built from Permutation products, ``table_by_permutation_products``,
-the normal subgroups from one closure per conjugacy class,
+the element permutations kept by the enumeration,
+``elements_by_enumeration``, the normal subgroups from one closure per
+conjugacy class,
 ``normal_subgroup_masks_by_classes``, and the semidirect action checked map
 by map, relations, bijection and homomorphism, ``semidirect_action_by_maps``),
 each the library's algorithm before its exact shortcut, before the lattice
@@ -739,14 +741,10 @@ def subgroups_by_all_joins(G) -> list[list[int]]:
     return orbits
 
 
-def table_by_permutation_products(G):
-    """Oracle for ``Group._enumerate`` with ``Group._build_table``: the elements
-    found by breadth-first search over Permutation products and sorted, each
-    generator's row from one product per element, the other rows composed by
-    right multiplication, and each inverse looked up by
-    ``Permutation.inverse``.  Returns (elements, rows, inverse map)."""
-    from array import array
-
+def elements_by_enumeration(G) -> tuple[Permutation, ...]:
+    """Oracle for ``Group.elements`` of a group built from generators: the
+    elements found by breadth-first search over Permutation products,
+    sorted by image tuple, as the enumeration once kept them."""
     identity = G.identity()
     seen = {identity}
     frontier = [identity]
@@ -759,7 +757,19 @@ def table_by_permutation_products(G):
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    elems = tuple(sorted(seen))
+    return tuple(sorted(seen))
+
+
+def table_by_permutation_products(G):
+    """Oracle for ``Group._enumerate`` with ``Group._build_table``: the
+    elements of :func:`elements_by_enumeration`, each generator's row from
+    one product per element, the other rows composed by right
+    multiplication, and each inverse looked up by ``Permutation.inverse``.
+    Returns (elements, rows, inverse map)."""
+    from array import array
+
+    elems = elements_by_enumeration(G)
+    identity = G.identity()
     idx = {p: i for i, p in enumerate(elems)}
     n = len(elems)
     typecode = "h" if n < 32768 else "l"

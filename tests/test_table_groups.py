@@ -3,10 +3,14 @@
 ``quotient`` is compared with the permutation-group construction it
 replaced (``oracles.quotient_by_permutations``) on corpus groups of order at
 most 60; ``coset_group``'s sections X/N are compared with the quotient of X
-built as a permutation group from its generators.
+built as a permutation group from its generators.  Enumerated groups keep
+their table too: their permutations, made on request, are compared with the
+enumeration that once kept them (``oracles.elements_by_enumeration``), and
+no group keeps them after the default suite.
 """
 
 import functools
+import gc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +19,7 @@ from flab.checks import DEFAULT_SUITE, run_checks
 from flab.corpus import build_corpus
 from flab.groups import Group, StabilizerChain, coset_group, make_group, quotient, right_cosets
 from flab.lattice import all_subgroups, lattice_summary
+from flab.perms import Permutation
 from flab.subgroups import (
     bits,
     centralizer,
@@ -26,6 +31,7 @@ from flab.subgroups import (
 from .oracles import (
     center_bf,
     element_order_histogram,
+    elements_by_enumeration,
     elements_of,
     quotient_by_permutations,
     table_by_permutation_products,
@@ -182,6 +188,40 @@ def test_table_matches_permutation_product_oracle_on_corpus():
         idx = {p: i for i, p in enumerate(elems)}
         assert G.identity_idx == idx[G.identity()]
         assert G.gen_idxs() == tuple(idx[g] for g in G.generators), G.name
+
+
+def test_permutations_on_request_match_the_enumeration_oracle():
+    # an enumerated group keeps its table, not its permutations; asked for
+    # them, it rebuilds them from the table in the enumeration's index order
+    specs = ["perm(7; (0 1 2 3 4 5 6); (1 2)(3 6))", "sd(C7,C3,n0->n0^2)", "C2 x S3 x sd(C7,C3,n0->n0^2)"]
+    groups = [entry.group for entry in build_corpus(120)] + [make_group(spec) for spec in specs]
+    for G in groups:
+        assert G._elements is None, G.name
+        assert G.elements() == elements_by_enumeration(G), G.name
+        for i in range(G.order):
+            p = G.perm_at(i)
+            assert G.idx_of(p) == i and p in G, (G.name, i)
+
+
+def test_groups_hold_no_permutations_after_the_default_suite():
+    # every check works on element indices through the table, so after the
+    # whole suite the only permutations the corpus keeps alive are the
+    # generators its groups were built from: no group, cached quotient or
+    # factor product among them, holds its elements
+    def live_permutations() -> int:
+        gc.collect()
+        return sum(isinstance(obj, Permutation) for obj in gc.get_objects())
+
+    before = live_permutations()
+    corpus = build_corpus(60)
+    reports = run_checks(DEFAULT_SUITE, corpus)
+    assert all(report.ok for report in reports)
+    for entry in corpus:
+        G = entry.group
+        for H in (G, *(qm.group for qm in G._quotients.values()), *G._factor_products.values()):
+            assert H._elements is None and H._index is None, (entry.name, H.name)
+    generators = sum(len(entry.group.generators) for entry in corpus)
+    assert live_permutations() - before <= generators
 
 
 def test_from_table_regular_representation():
