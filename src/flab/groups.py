@@ -12,9 +12,10 @@ parent's right cosets by :func:`coset_group`, or an oracle product) is given
 by its multiplication table: its order is the number of rows, and its
 permutations, the right regular representation, are made only if asked for.
 Either way the index multiplication table and other caches are populated
-lazily and written once.  :class:`StabilizerChain` (a
-deterministic Schreier-Sims chain) is kept as public API; no library path
-builds one.
+lazily and written once, except the sections a group builds (its cached
+quotients and factor-action products), which are freed after its checks.
+:class:`StabilizerChain` (a deterministic Schreier-Sims chain) is kept as
+public API; no library path builds one.
 """
 
 from __future__ import annotations
@@ -218,9 +219,12 @@ class Group:
     elements in sorted order of their image tuples; once enumerated it keeps
     its table, not its permutations.  A group built by :meth:`from_table`
     starts from its table.  Either kind makes permutations only on request.
-    Instances are immutable; all lazy caches are write-once and
-    idempotent, so sharing a Group between threads is safe in the
-    benign-race sense.
+    Instances are immutable; their lazy caches are idempotent, so sharing a
+    Group between threads is safe in the benign-race sense.  Every cache is
+    write-once except the sections the group builds, its cached quotients
+    and factor-action products, which :meth:`release_sections` frees
+    (``run_checks`` does so once every configuration has run on the group)
+    and which are rebuilt if asked for again.
     """
 
     def __init__(self, degree: int, generators: Iterable[Permutation], name: str | None = None):
@@ -281,6 +285,13 @@ class Group:
         G._table = rows
         G._inv = inv
         return G
+
+    def release_sections(self) -> None:
+        """Free the sections built from this group: its cached quotients X/N
+        (with everything cached on them) and its factor-action products.
+        Its own lattice, hypercenters and class memos stay."""
+        self._quotients.clear()
+        self._factor_products.clear()
 
     # -- basic structure ----------------------------------------------------
 
@@ -506,12 +517,14 @@ class Group:
 
         Each walk through the powers of an element not yet seen fixes the
         orders of all those powers: ord(x^j) = ord(x) / gcd(j, ord(x)).
+        Orders are kept in two bytes each; no order exceeds the group's, and a
+        group with a dense table is far below 65536 elements.
         """
         orders = self._elt_orders
         if orders is None:
             table = self.table
             e = self.identity_idx
-            orders = array("l", [0]) * self.order
+            orders = array("H", [0]) * self.order
             orders[e] = 1
             for x in range(self.order):
                 if orders[x]:

@@ -166,14 +166,14 @@ def is_f_subnormal(F: FormationExpr, H: SubgroupRef, X: Group | SubgroupRef) -> 
 
 
 def _subnormal(lat: SubgroupLattice, F: FormationExpr, h_idx: int, t_idx: int) -> bool:
-    key = ("subnormal", F)
-    table = lat.memo.get(key)
-    if table is None:
-        table = {}
-        lat.memo[key] = table
-    cached = table.get((h_idx, t_idx))
-    if cached is not None:
-        return cached
+    # the memo is two bit rows per chain top t, each a bitmask over chain
+    # bottoms h: decided[t] marks the pairs answered, holds[t] the answers
+    rows = lat.memo.get(("subnormal", F))
+    if rows is None:
+        rows = lat.memo[("subnormal", F)] = ([0] * len(lat), [0] * len(lat))
+    decided, holds = rows
+    if (decided[t_idx] >> h_idx) & 1:
+        return bool((holds[t_idx] >> h_idx) & 1)
     if h_idx == t_idx:
         result = True
     elif formation_member(F, lat.refs[t_idx]):
@@ -188,7 +188,9 @@ def _subnormal(lat: SubgroupLattice, F: FormationExpr, h_idx: int, t_idx: int) -
             if _step_ok(lat, F, t_idx, m_idx) and _subnormal(lat, F, h_idx, m_idx):
                 result = True
                 break
-    table[(h_idx, t_idx)] = result
+    decided[t_idx] |= 1 << h_idx
+    if result:
+        holds[t_idx] |= 1 << h_idx
     return result
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from flab import lattice
 from flab.checks import (
     DEFAULT_SUITE,
     PARTITION_PRESETS,
@@ -13,6 +14,7 @@ from flab.checks import (
 from flab.corpus import Corpus, CorpusEntry, build_corpus, load_corpus_file
 from flab.errors import SpecParseError
 from flab.formations import NIL, SUPERSOLUBLE, Cross, Gpi, SolPi, parse_formation
+from flab.groups import Group
 from flab.intersections import CYCLIC_PRIMARY, SYLOW
 from flab.report import render_report
 
@@ -197,6 +199,39 @@ def test_group_major_suite_matches_each_check_alone(small_corpus):
         assert (report.check, report.params, report.assertive, report.rows) == (
             alone.check, alone.params, alone.assertive, alone.rows,
         ), name
+
+
+def test_run_checks_frees_sections_and_keeps_each_groups_lattice(monkeypatch):
+    # no identity compares two groups, so each group's quotients and factor
+    # products are freed once its checks have run; its lattice and
+    # hypercenters stay, and a second call on the same corpus rebuilds no lattice
+    released = []
+    release = Group.release_sections
+
+    def counted(G):
+        released.append(len(G._quotients) + len(G._factor_products))
+        release(G)
+
+    monkeypatch.setattr(Group, "release_sections", counted)
+    corpus = build_corpus(60)
+    run_checks(DEFAULT_SUITE, corpus)
+    assert len(released) == len(corpus) and sum(released) > 0
+    for entry in corpus:
+        G = entry.group
+        assert not G._quotients and not G._factor_products, entry.name
+        assert G._lattice is not None and G._hypercenters, entry.name
+
+    enumerations = []
+    enumerate_subgroups = lattice._enumerate_subgroups
+
+    def counted_enumeration(G):
+        enumerations.append(G.name)
+        return enumerate_subgroups(G)
+
+    monkeypatch.setattr(lattice, "_enumerate_subgroups", counted_enumeration)
+    corpus = build_corpus(60)
+    assert run_check("baer-a1", {}, corpus).ok and run_check("cor-a4", {}, corpus).ok
+    assert sorted(enumerations) == sorted(corpus.names())
 
 
 def test_default_suite_configurations_are_pinned():

@@ -1,3 +1,6 @@
+import random
+
+from flab.corpus import build_corpus
 from flab.formations import NIL, SUPERSOLUBLE, Gpi, format_formation, formation_member, parse_formation
 from flab.groups import make_group
 from flab.hypercenter import hypercenter
@@ -21,6 +24,7 @@ from flab.subgroups import bits, full_subgroup, normalizer
 from .oracles import is_f_subnormal_by_any_chain, is_nilpotent_by_sylow, is_supersoluble_by_chief_factors
 
 CROSS_235 = parse_formation("cross[{2,3}:gpi;{5}:gpi]")
+GPI_23 = parse_formation("Gpi{2,3}")
 
 
 def _subgroups_of_order(G, n):
@@ -135,6 +139,24 @@ def test_subnormal_chain_variant_agrees_on_corpus():
                     H.order,
                     format_formation(F),
                 )
+
+
+def test_subnormal_memo_answers_as_a_cold_decision():
+    # the memo keeps two bit rows per chain top (pairs decided, answers); read
+    # back in any order, they give what a decision from an empty memo gives
+    rng = random.Random(23)
+    for entry in build_corpus(60):
+        lat = all_subgroups(entry.group)
+        pairs = [(H, lat.refs[t]) for h, H in enumerate(lat.refs) for t in bits(lat.sup_rows[h])]
+        for F in (NIL, SUPERSOLUBLE, GPI_23):
+            cold = []
+            for H, T in pairs:
+                lat.memo.clear()
+                cold.append(is_f_subnormal(F, H, T))
+            lat.memo.clear()
+            shuffled = rng.sample(range(len(pairs)), len(pairs))
+            for i in shuffled + shuffled:
+                assert is_f_subnormal(F, *pairs[i]) == cold[i], (entry.name, format_formation(F), i)
 
 
 def test_step_quotient_matches_definition():

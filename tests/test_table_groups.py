@@ -15,7 +15,7 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flab.checks import DEFAULT_SUITE, run_checks
+from flab.checks import CHECKS, DEFAULT_SUITE, run_checks
 from flab.corpus import build_corpus
 from flab.groups import Group, StabilizerChain, coset_group, make_group, quotient, right_cosets
 from flab.lattice import all_subgroups, lattice_summary
@@ -207,19 +207,27 @@ def test_groups_hold_no_permutations_after_the_default_suite():
     # every check works on element indices through the table, so after the
     # whole suite the only permutations the corpus keeps alive are the
     # generators its groups were built from: no group, cached quotient or
-    # factor product among them, holds its elements
+    # factor product among them, holds its elements.  run_checks frees each
+    # group's sections once its checks are done, so each configuration's
+    # per-group rows run here, and the sections are inspected while held
     def live_permutations() -> int:
         gc.collect()
         return sum(isinstance(obj, Permutation) for obj in gc.get_objects())
 
     before = live_permutations()
     corpus = build_corpus(60)
-    reports = run_checks(DEFAULT_SUITE, corpus)
-    assert all(report.ok for report in reports)
+    plan = [(CHECKS[name], *CHECKS[name].configure(params)) for name, params in DEFAULT_SUITE]
+    sections = 0
     for entry in corpus:
         G = entry.group
-        for H in (G, *(qm.group for qm in G._quotients.values()), *G._factor_products.values()):
+        for check, resolved, _, assertive in plan:
+            rows = check.rows(entry, resolved)
+            assert not assertive or all(row["pass"] for row in rows), (entry.name, rows)
+        held = (*(qm.group for qm in G._quotients.values()), *G._factor_products.values())
+        sections += len(held)
+        for H in (G, *held):
             assert H._elements is None and H._index is None, (entry.name, H.name)
+    assert sections > 0
     generators = sum(len(entry.group.generators) for entry in corpus)
     assert live_permutations() - before <= generators
 
