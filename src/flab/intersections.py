@@ -6,13 +6,14 @@ subnormality with subnormalizers and their intersections, the intersection of
 abnormal maximal subgroups, and the "all Sylow / all cyclic primary subgroups
 subnormal" membership tests.
 
-Intersections over an empty family return the ambient group.  Subnormality
-steps compare the class residual of the chain top against the core of the
-maximal subgroup (the quotient lies in the class iff the residual lies inside
-the kernel), which keeps the recursion at bitmask level.  Class membership
-and residuals are read from ``formations.formation_member`` (``member_bits``
-for lattice members) and ``formations.residual_mask``; this module decides
-no class itself.
+Intersections over an empty family return the ambient group.  A subnormality
+step from a chain top T to a maximal subgroup M is decided by T^F <= M: the
+residual is normal in T, so it lies in M iff it lies in Core_T(M), the kernel
+of the step quotient.  Subnormality is kept as one lattice bit row per chain
+top, the subgroups reachable from it by such steps, and every caller reads
+those rows.  Class membership and residuals are read from
+``formations.formation_member`` (``member_bits`` for lattice members) and
+``formations.residual_mask``; this module decides no class itself.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .subgroups import (
     as_ref,
     bits,
     conjugacy_orbit,
-    core,
     normalizer,
     prime_factors,
     subgroup_from_mask,
@@ -141,18 +141,13 @@ def sylow_normalizer_intersection(X: Group | SubgroupRef) -> SubgroupRef:
 # ---------------------------------------------------------------------------
 
 
-def _core_mask(lat: SubgroupLattice, t_idx: int, m_idx: int) -> int:
-    """Core of refs[m_idx] in refs[t_idx] (cached)."""
-    key = ("core", t_idx, m_idx)
-    cached = lat.memo.get(key)
-    if cached is None:
-        cached = lat.memo[key] = core(lat.refs[t_idx], lat.refs[m_idx]).mask
-    return cached
-
-
 def _step_ok(lat: SubgroupLattice, F: FormationExpr, t_idx: int, m_idx: int) -> bool:
-    """Whether refs[t_idx] / Core(refs[m_idx]) lies in the class."""
-    return residual_mask(F, lat.refs[t_idx]) & ~_core_mask(lat, t_idx, m_idx) == 0
+    """Whether refs[t_idx] / Core(refs[m_idx]) lies in the class.
+
+    The residual of the top is normal in it and the core is the largest normal
+    subgroup of the top inside refs[m_idx], so the residual lies in the core
+    iff it lies in refs[m_idx]."""
+    return residual_mask(F, lat.refs[t_idx]) & ~lat.refs[m_idx].mask == 0
 
 
 def is_f_subnormal(F: FormationExpr, H: SubgroupRef, X: Group | SubgroupRef) -> bool:
@@ -162,36 +157,27 @@ def is_f_subnormal(F: FormationExpr, H: SubgroupRef, X: Group | SubgroupRef) -> 
     if H.ambient is not X.ambient or not X.contains(H):
         raise NotASubgroup("chain bottom is not a subgroup of the chain top")
     lat = all_subgroups(X.ambient)
-    return _subnormal(lat, F, lat.index_of(H), lat.index_of(X))
+    return (_subnormal_row(lat, F, lat.index_of(X)) >> lat.index_of(H)) & 1 == 1
 
 
-def _subnormal(lat: SubgroupLattice, F: FormationExpr, h_idx: int, t_idx: int) -> bool:
-    # the memo is two bit rows per chain top t, each a bitmask over chain
-    # bottoms h: decided[t] marks the pairs answered, holds[t] the answers
+def _subnormal_row(lat: SubgroupLattice, F: FormationExpr, t_idx: int) -> int:
+    """Bit h set: refs[h] is subnormal in refs[t_idx] (one memo row per chain top)."""
     rows = lat.memo.get(("subnormal", F))
     if rows is None:
-        rows = lat.memo[("subnormal", F)] = ([0] * len(lat), [0] * len(lat))
-    decided, holds = rows
-    if (decided[t_idx] >> h_idx) & 1:
-        return bool((holds[t_idx] >> h_idx) & 1)
-    if h_idx == t_idx:
-        result = True
-    elif formation_member(F, lat.refs[t_idx]):
+        rows = lat.memo[("subnormal", F)] = [0] * len(lat)
+    row = rows[t_idx]
+    if row:  # bit t_idx is set in every decided row
+        return row
+    if formation_member(F, lat.refs[t_idx]):
         # hereditary catalog: every subgroup of a member is subnormal in it
-        result = True
+        row = lat.sub_rows[t_idx]
     else:
-        result = False
-        h_sup = lat.sup_rows[h_idx]
+        row = 1 << t_idx
         for m_idx in lat.maximal_subgroup_idxs(t_idx):
-            if not (h_sup >> m_idx) & 1:
-                continue
-            if _step_ok(lat, F, t_idx, m_idx) and _subnormal(lat, F, h_idx, m_idx):
-                result = True
-                break
-    decided[t_idx] |= 1 << h_idx
-    if result:
-        holds[t_idx] |= 1 << h_idx
-    return result
+            if _step_ok(lat, F, t_idx, m_idx):
+                row |= _subnormal_row(lat, F, m_idx)
+    rows[t_idx] = row
+    return row
 
 
 @dataclass(frozen=True)
@@ -219,7 +205,7 @@ def f_subnormalizers(
     inside = lat.sub_rows[xi]
     candidate_bits = 0
     for t in bits(lat.sup_rows[hi] & inside):
-        if _subnormal(lat, F, hi, t):
+        if (_subnormal_row(lat, F, t) >> hi) & 1:
             candidate_bits |= 1 << t
     return SubnormalizerSet(H, tuple(lat.refs[t] for t in lat.maximal_idxs(candidate_bits)))
 
@@ -260,7 +246,5 @@ def all_sigma_f_subnormal(F: FormationExpr, X: Group | SubgroupRef, mode: str) -
     sigma = {"w": SYLOW, "v": CYCLIC_PRIMARY}[mode]
     X = as_ref(X)
     lat = all_subgroups(X.ambient)
-    xi = lat.index_of(X)
-    return all(
-        _subnormal(lat, F, lat.index_of(H), xi) for H in sigma(X)
-    )
+    row = _subnormal_row(lat, F, lat.index_of(X))
+    return all((row >> lat.index_of(H)) & 1 for H in sigma(X))

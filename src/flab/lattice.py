@@ -56,12 +56,14 @@ class SubgroupLattice:
         return [j for j in bits(chosen) if not sup_rows[j] & chosen & ~(1 << j)]
 
     def maximal_subgroup_idxs(self, i: int) -> list[int]:
-        """Indices of the maximal proper subgroups of refs[i]."""
-        key = ("maximals", i)
-        cached = self.memo.get(key)
-        if cached is None:
-            cached = self.memo[key] = self.maximal_idxs(self.sub_rows[i] & ~(1 << i))
-        return cached
+        """Indices of the maximal proper subgroups of refs[i] (memoised in one
+        list indexed by i)."""
+        rows = self.memo.get("maximals")
+        if rows is None:
+            rows = self.memo["maximals"] = [None] * len(self.refs)
+        if rows[i] is None:
+            rows[i] = self.maximal_idxs(self.sub_rows[i] & ~(1 << i))
+        return rows[i]
 
 
 def _cyclic_subgroups(G: Group) -> dict[int, int]:

@@ -132,7 +132,7 @@ def test_subnormal_chain_variant_agrees_on_corpus():
     for spec in ("S3", "S4", "Q8", "SL(2,3)", "A4", "D12", "A5"):
         G = make_group(spec)
         lat = all_subgroups(G)
-        for F in (NIL, SUPERSOLUBLE):
+        for F in (NIL, SUPERSOLUBLE, GPI_23):
             for H in lat.refs:
                 assert is_f_subnormal(F, H, G) == is_f_subnormal_by_any_chain(F, H, G), (
                     spec,
@@ -142,8 +142,8 @@ def test_subnormal_chain_variant_agrees_on_corpus():
 
 
 def test_subnormal_memo_answers_as_a_cold_decision():
-    # the memo keeps two bit rows per chain top (pairs decided, answers); read
-    # back in any order, they give what a decision from an empty memo gives
+    # the memo keeps one bit row per chain top (the subgroups subnormal in it);
+    # read back in any order, it gives what a decision from an empty memo gives
     rng = random.Random(23)
     for entry in build_corpus(60):
         lat = all_subgroups(entry.group)
@@ -160,14 +160,15 @@ def test_subnormal_memo_answers_as_a_cold_decision():
 
 
 def test_step_quotient_matches_definition():
-    # the residual-in-core test agrees with building the step quotient
+    # the library tests T^F <= M; the oracle builds T/Core_T(M) and decides it
     from flab.groups import Group, quotient
     from flab.subgroups import core, gens_for_mask
 
-    for spec in ("S4", "SL(2,3)", "D12"):
+    classes = (NIL, SUPERSOLUBLE, GPI_23, parse_formation("N^2"), parse_formation("Sol"), CROSS_235)
+    for spec in ("S4", "SL(2,3)", "D12", "A5", "C2 x S4"):
         G = make_group(spec)
         lat = all_subgroups(G)
-        for F in (NIL, SUPERSOLUBLE):
+        for F in classes:
             for t_ref in lat.refs:
                 if t_ref.order <= 2:
                     continue
