@@ -515,11 +515,12 @@ def run_checks(configs: Iterable[tuple[str, dict]], corpus: Corpus) -> list[Chec
     Every configuration is resolved before any group is touched.  Each group
     then runs every check in configuration order; a report's ``elapsed_ms``
     is the sum of its per-group times.  Once every configuration has run on
-    a group, the sections it built (cached quotients and factor-action
-    products, :meth:`Group.release_sections`) are freed, as no check compares
-    two groups; its lattice, hypercenters and class memos stay, so a later
-    call on the same corpus rebuilds none of them.  Returns one report per
-    configuration.
+    a group, its working set is freed (:meth:`Group.release_working_set`:
+    the sections it built, its conjugation rows and an enumerated group's
+    table and inverses), as no check compares two groups; its lattice,
+    hypercenters and class memos stay, so a later call on the same corpus
+    rebuilds none of them, and a table it reads again is rebuilt from the
+    generators' rows.  Returns one report per configuration.
     """
     plan = []
     for name, params in configs:
@@ -535,7 +536,7 @@ def run_checks(configs: Iterable[tuple[str, dict]], corpus: Corpus) -> list[Chec
             start = time.perf_counter()
             report.rows.extend(check.rows(entry, resolved))
             seconds[i] += time.perf_counter() - start
-        entry.group.release_sections()
+        entry.group.release_working_set()
     for (check, _, report), spent in zip(plan, seconds):
         report.rows.sort(key=lambda r: (r["order"], r["group"], r.get("note") or ""))
         report.elapsed_ms = int(spent * 1000)

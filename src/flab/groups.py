@@ -217,14 +217,17 @@ class Group:
 
     A group built from generators acts on points 0..degree-1 and indexes its
     elements in sorted order of their image tuples; once enumerated it keeps
-    its table, not its permutations.  A group built by :meth:`from_table`
-    starts from its table.  Either kind makes permutations only on request.
-    Instances are immutable; their lazy caches are idempotent, so sharing a
-    Group between threads is safe in the benign-race sense.  Every cache is
-    write-once except the sections the group builds, its cached quotients
-    and factor-action products, which :meth:`release_sections` frees
-    (``run_checks`` does so once every configuration has run on the group)
-    and which are rebuilt if asked for again.
+    its table, not its permutations, and it keeps its generators' table
+    rows, from which the table is built on first use and again after a
+    release.  A group built by :meth:`from_table` starts from its table and
+    keeps it.  Either kind makes permutations only on request.  Instances
+    are immutable; their lazy caches are idempotent, so sharing a Group
+    between threads is safe in the benign-race sense.  Every cache is
+    write-once except the working set :meth:`release_working_set` frees
+    (``run_checks`` does so once every configuration has run on the group):
+    the sections the group builds, its cached quotients and factor-action
+    products, its conjugation rows and, for an enumerated group, its table
+    and inverses.  Each is rebuilt, the same, if asked for again.
     """
 
     def __init__(self, degree: int, generators: Iterable[Permutation], name: str | None = None):
@@ -286,12 +289,17 @@ class Group:
         G._inv = inv
         return G
 
-    def release_sections(self) -> None:
-        """Free the sections built from this group: its cached quotients X/N
-        (with everything cached on them) and its factor-action products.
-        Its own lattice, hypercenters and class memos stay."""
+    def release_working_set(self) -> None:
+        """Free what this group's checks built and can build again: its
+        cached quotients X/N (with everything cached on them), its
+        factor-action products and conjugation rows, and, when it keeps its
+        generators' rows to rebuild them from, its table and inverses.  Its
+        own lattice, hypercenters and class memos stay."""
         self._quotients.clear()
         self._factor_products.clear()
+        self._conj_rows = {}
+        if self._gen_rows is not None:
+            self._table = self._inv = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -356,10 +364,10 @@ class Group:
         """Breadth-first search over image tuples that keeps each element's
         generator products as positions: once the elements are sorted by
         image tuple, these give the order, the identity's and generators'
-        indices and the generators' table rows (``_gen_rows``), which is
-        all the group keeps; the image tuples are dropped.  It raises
-        :class:`CapExceeded` as soon as it has found cap + 1 elements, and
-        then sets nothing."""
+        indices and the generators' table rows (``_gen_rows``, kept to
+        build the table from), which is all the group keeps; the image
+        tuples are dropped.  It raises :class:`CapExceeded` as soon as it
+        has found cap + 1 elements, and then sets nothing."""
         gens = [g.images for g in self.generators]
         found = [tuple(range(self.degree))]
         position = {found[0]: 0}
@@ -423,14 +431,15 @@ class Group:
 
     # -- index arithmetic ------------------------------------------------------
 
-    def _build_table(self) -> None:
+    def _build_table(self) -> tuple[list[array], array]:
         """Dense right-multiplication table: ``r_a[x] == index(elem[x] * elem[a])``.
 
         From the generators' rows of the enumeration, the row of g * a is
         ``r_a`` gathered at ``r_g`` (x * g * a), and the inverse of a is the
         x with ``r_a[x]`` the identity.  Up to order 256 rows are one byte
         and the gather is ``bytes(r_g).translate(bytes(r_a) + pad)``, in C;
-        above it, one ``itemgetter(*r_g)`` per generator.
+        above it, one ``itemgetter(*r_g)`` per generator.  Returns the
+        table and the inverses it keeps.
         """
         n = self.order
         e = self.identity_idx
@@ -439,7 +448,6 @@ class Group:
         rows[e] = array(typecode, range(n))
         for g, rg in zip(self.gen_idxs(), self._gen_rows):  # type: ignore[arg-type]
             rows[g] = rg
-        self._gen_rows = None
         byte_rows = typecode == "B"
         pad = bytes(256 - n) if byte_rows else b""
         gathers = [
@@ -458,36 +466,46 @@ class Group:
                         rows[b] = array(typecode, gather(src))
                         nxt.append(b)
             frontier = nxt
-        self._inv = array(typecode, (row.index(e) for row in rows))  # type: ignore[union-attr]
+        inv = self._inv = array(typecode, (row.index(e) for row in rows))  # type: ignore[union-attr]
         self._table = rows  # type: ignore[assignment]
+        return rows, inv  # type: ignore[return-value]
 
     @property
     def table(self) -> list[array]:
         """The multiplication table: ``table[j][i]`` is the index of elements[i] * elements[j].
 
-        Built on first use for every enumerated group.  Rows are ``array``
+        Built on first use for every enumerated group, and again after a
+        release (:meth:`release_working_set`).  Rows are ``array``
         objects of :func:`_typecode` entries: up to order 256 one byte each
         (at most 256 rows of 256 bytes, 64 KB of entries); at the order cap
         (order 2000) 2000 rows of 2000 two-byte entries, about 8 MB.
         """
-        if self._table is None:
-            self._build_table()
-        return self._table  # type: ignore[return-value]
+        table = self._table
+        if table is None:
+            table = self._build_table()[0]
+        return table
+
+    @property
+    def inverses(self) -> array:
+        """The inverse of every element, by index: ``inverses[i]`` is the
+        index of elements[i]^-1.  Kept and released with :attr:`table`."""
+        inv = self._inv
+        if inv is None:
+            inv = self._build_table()[1]
+        return inv
 
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j]."""
         return self.table[j][i]
 
     def inv(self, i: int) -> int:
-        if self._inv is None:
-            self._build_table()
-        return self._inv[i]  # type: ignore[index]
+        return self.inverses[i]
 
     def comm(self, a: int, b: int) -> int:
         """Index of the commutator [a, b] = a^-1 * b^-1 * a * b."""
         table = self.table
-        inv = self._inv
-        return table[table[b][a]][table[inv[b]][inv[a]]]  # type: ignore[index]
+        inv = self.inverses
+        return table[table[b][a]][table[inv[b]][inv[a]]]
 
     def conj(self, h: int, g: int) -> int:
         """Index of g^-1 * h * g."""
@@ -498,8 +516,7 @@ class Group:
         row = self._conj_rows.get(g)
         if row is None:
             table = self.table
-            inv = self._inv
-            assert inv is not None
+            inv = self.inverses
             rg = table[g]
             row = array(inv.typecode, map(rg.__getitem__, map(itemgetter(inv[g]), table)))
             self._conj_rows[g] = row

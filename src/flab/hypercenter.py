@@ -96,10 +96,10 @@ def _table_product(
     # H/K, with right multiplication factor_rows[d][c] = c * d
     HK = coset_group(G, coset_of, reps, factor.above.gen_idxs)
     factor_rows = HK.table
-    factor_inv = list(map(HK.inv, range(m)))
+    factor_inv = HK.inverses
     A = acting.group
     a_table = A.table
-    a_inv = [A.inv(a) for a in range(A.order)]
+    a_inv = A.inverses
     # the action: act[a][c] = c^a, conjugation by a representative of a
     act = []
     for g in acting.reps:

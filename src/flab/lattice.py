@@ -98,7 +98,7 @@ def _enumerate_subgroups(G: Group) -> list[list[int]]:
     full_mask = (1 << n) - 1
     divisors = [d for d in range(1, n) if n % d == 0]
     largest_proper = max(divisors) if divisors else 1
-    table, inv = G.table, G._inv
+    table, inv = G.table, G.inverses
 
     # seed: all cyclic subgroups; atoms: the prime-power ones
     cyclic_masks = _cyclic_subgroups(G)

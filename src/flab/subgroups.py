@@ -232,7 +232,7 @@ def normalizer(X: Group | SubgroupRef, H: SubgroupRef) -> SubgroupRef:
     out = X.mask
     for h in H.gen_idxs:
         # for every g at once: h^g = table[g][table[h][inv[g]]], and whether it lies in H
-        conj = map(getitem, table, map(table[h].__getitem__, G._inv))
+        conj = map(getitem, table, map(table[h].__getitem__, G.inverses))
         out &= int(bytes(map(digits.__getitem__, conj))[::-1], 2)
     return subgroup_from_mask(G, out)
 
@@ -262,7 +262,7 @@ def centralizer_of_factor(
     hgens = H.gen_idxs
     out = 0
     table = G.table
-    inv = G._inv
+    inv = G.inverses
     hrows = [(h, inv[h]) for h in hgens]
     for g in _members(X):
         ginv = inv[g]

@@ -202,24 +202,35 @@ def test_group_major_suite_matches_each_check_alone(small_corpus):
 
 
 def test_run_checks_frees_sections_and_keeps_each_groups_lattice(monkeypatch):
-    # no identity compares two groups, so each group's quotients and factor
-    # products are freed once its checks have run; its lattice and
-    # hypercenters stay, and a second call on the same corpus rebuilds no lattice
+    # no identity compares two groups, so each group's quotients, factor
+    # products, conjugation rows, table and inverses are freed once its
+    # checks have run; its lattice and hypercenters stay, a second call on
+    # the same corpus rebuilds no lattice, and a table read again is rebuilt
+    # the same from the generators' rows
     released = []
-    release = Group.release_sections
+    held = {}
+    release = Group.release_working_set
 
     def counted(G):
         released.append(len(G._quotients) + len(G._factor_products))
+        held[G.name] = (list(G.table), list(G.inverses), [G.conj_row(g) for g in range(G.order)])
         release(G)
 
-    monkeypatch.setattr(Group, "release_sections", counted)
+    monkeypatch.setattr(Group, "release_working_set", counted)
     corpus = build_corpus(60)
     run_checks(DEFAULT_SUITE, corpus)
     assert len(released) == len(corpus) and sum(released) > 0
     for entry in corpus:
         G = entry.group
         assert not G._quotients and not G._factor_products, entry.name
+        assert G._table is None and G._inv is None and not G._conj_rows, entry.name
         assert G._lattice is not None and G._hypercenters, entry.name
+    for entry in corpus:
+        G = entry.group
+        table, inverses, conj_rows = held[G.name]
+        assert G.table == table, entry.name
+        assert [G.inv(i) for i in range(G.order)] == inverses, entry.name
+        assert [G.conj_row(g) for g in range(G.order)] == conj_rows, entry.name
 
     enumerations = []
     enumerate_subgroups = lattice._enumerate_subgroups
@@ -228,10 +239,23 @@ def test_run_checks_frees_sections_and_keeps_each_groups_lattice(monkeypatch):
         enumerations.append(G.name)
         return enumerate_subgroups(G)
 
+    tables = []
+    build_table = Group._build_table
+
+    def counted_table(G):
+        tables.append(G.name)
+        return build_table(G)
+
+    monkeypatch.undo()
     monkeypatch.setattr(lattice, "_enumerate_subgroups", counted_enumeration)
+    monkeypatch.setattr(Group, "_build_table", counted_table)
     corpus = build_corpus(60)
-    assert run_check("baer-a1", {}, corpus).ok and run_check("cor-a4", {}, corpus).ok
+    assert run_check("baer-a1", {}, corpus).ok
+    first_lattices = set(enumerations)
+    del tables[:]
+    assert run_check("cor-a4", {}, corpus).ok
     assert sorted(enumerations) == sorted(corpus.names())
+    assert first_lattices and not first_lattices & set(tables)
 
 
 def test_default_suite_configurations_are_pinned():

@@ -6,7 +6,8 @@ most 60; ``coset_group``'s sections X/N are compared with the quotient of X
 built as a permutation group from its generators.  Enumerated groups keep
 their table too: their permutations, made on request, are compared with the
 enumeration that once kept them (``oracles.elements_by_enumeration``), and
-no group keeps them after the default suite.
+no group keeps them after the default suite.  A table group has no
+generators' rows to rebuild its table from, so a release keeps it.
 """
 
 import functools
@@ -140,9 +141,9 @@ def test_coset_group_matches_quotient_of_the_permutation_built_subgroup():
                 S = coset_group(G, coset_of, reps, X.gen_idxs)
                 p_mask = sum(1 << members.index(a) for a in bits(n_mask))
                 Q = quotient(P, p_mask, gens_for_mask(P, p_mask)).group
-                assert (S.table, S._inv, S.identity_idx, S.gen_idxs()) == (
+                assert (S.table, S.inverses, S.identity_idx, S.gen_idxs()) == (
                     Q.table,
-                    Q._inv,
+                    Q.inverses,
                     Q.identity_idx,
                     Q.gen_idxs(),
                 ), (entry.name, X.order, n_mask.bit_count())
@@ -184,7 +185,7 @@ def test_table_matches_permutation_product_oracle_on_corpus():
         elems, rows, inv = table_by_permutation_products(G)
         assert G.elements() == elems, G.name
         assert G.table == rows, G.name
-        assert G._inv == inv, G.name
+        assert G.inverses == inv, G.name
         idx = {p: i for i, p in enumerate(elems)}
         assert G.identity_idx == idx[G.identity()]
         assert G.gen_idxs() == tuple(idx[g] for g in G.generators), G.name
@@ -242,3 +243,26 @@ def test_from_table_regular_representation():
             assert Q.perm_at(i) * Q.perm_at(j) == Q.perm_at(Q.mul(i, j))
     assert Q.generators == tuple(Q.perm_at(g) for g in Q.gen_idxs())
     assert Q.identity_idx not in Q.gen_idxs()
+
+
+def test_release_keeps_the_table_of_a_table_group():
+    # a quotient and a coset_group section are built from their table and
+    # cannot rebuild it, so a release frees only their conjugation rows; the
+    # enumerated group they came from frees its table and rebuilds it the same
+    G = make_group("S4")
+    V4 = next(m for m in normal_subgroup_masks(G) if m.bit_count() == 4)
+    Q = quotient(G, V4, gens_for_mask(G, V4)).group
+    X = next(ref for ref in all_subgroups(G).refs if ref.order == 12)
+    coset_of, reps = right_cosets(G, X.mask, V4)
+    S = coset_group(G, coset_of, reps, X.gen_idxs)
+    assert (Q.order, S.order) == (6, 3)
+    for H in (Q, S):
+        table, inverses = H.table, H.inverses
+        conj_rows = [H.conj_row(g) for g in range(H.order)]
+        H.release_working_set()
+        assert H._table is table and H._inv is inverses and not H._conj_rows, H.order
+        assert [H.conj_row(g) for g in range(H.order)] == conj_rows, H.order
+    table, inverses = list(G.table), G.inverses
+    G.release_working_set()
+    assert G._table is None and G._inv is None
+    assert G.inverses == inverses and G.table == table
