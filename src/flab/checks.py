@@ -166,7 +166,10 @@ def _prop1(entry: CorpusEntry, params: dict) -> list[dict]:
 
 
 def _has_soluble_block(F: Cross) -> bool:
-    return any(isinstance(block, SolPi) for block in F.blocks)
+    """Whether a block of F is the soluble pi-groups for three or more
+    primes; by Burnside's p^a q^b theorem one of at most two primes is the
+    class ``Gpi`` of them."""
+    return any(isinstance(block, SolPi) and len(block.primes) > 2 for block in F.blocks)
 
 
 def _theorem_a(entry: CorpusEntry, params: dict) -> list[dict]:
@@ -189,9 +192,9 @@ def _partition_params(F: Cross) -> list[str]:
 
 
 def _is_lattice_formation(F: FormationExpr) -> bool:
-    return isinstance(F, (Nil, Gpi)) or (
-        isinstance(F, Cross) and not _has_soluble_block(F)
-    )
+    if isinstance(F, SolPi):
+        return len(F.primes) <= 2
+    return isinstance(F, (Nil, Gpi)) or (isinstance(F, Cross) and not _has_soluble_block(F))
 
 
 def _theorem_b(entry: CorpusEntry, params: dict) -> list[dict]:
@@ -516,11 +519,10 @@ def run_checks(configs: Iterable[tuple[str, dict]], corpus: Corpus) -> list[Chec
     then runs every check in configuration order; a report's ``elapsed_ms``
     is the sum of its per-group times.  Once every configuration has run on
     a group, its working set is freed (:meth:`Group.release_working_set`:
-    the sections it built, its conjugation rows and an enumerated group's
-    table and inverses), as no check compares two groups; its lattice,
-    hypercenters and class memos stay, so a later call on the same corpus
-    rebuilds none of them, and a table it reads again is rebuilt from the
-    generators' rows.  Returns one report per configuration.
+    the sections it built, its conjugation rows, its table and inverses),
+    as no check compares two groups; its lattice, hypercenters and class
+    memos stay, so a later call on the same corpus rebuilds none of them,
+    and a table it reads again is rebuilt from the generators' rows.  Returns one report per configuration.
     """
     plan = []
     for name, params in configs:

@@ -4,7 +4,7 @@ All caps are plain module constants, read at call time, with no per-call
 override; only ``Group.elements(limit=)`` sets its own limit for one
 enumeration.  A group's order is the number of its elements, so the order
 cap is also the enumeration cap, for a spec and for each of its factors;
-every enumerated group gets a dense index multiplication table, about 8 MB
+every group gets a dense index multiplication table, about 8 MB
 at order 2000.  ``ORDER_CAP`` also bounds the degree of a
 ``perm(<n>; ...)`` spec, refused before any point is allocated: every group
 within the cap acts faithfully on at most that many points (its regular

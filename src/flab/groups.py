@@ -1,19 +1,20 @@
 """Finite groups: element enumeration, named constructors, products, quotients.
 
-A :class:`Group` is an immutable value built one of two ways.  A group from
-a spec (a named constructor, a product or ``perm(...)``) is given by its
-degree and generator list: a breadth-first enumeration, which stops as soon
-as it passes the order cap, finds its elements, and its order is their
-number.  The enumeration keeps only index-level facts (order, identity,
-generator indices and the generators' table rows); the element
-permutations are rebuilt from the table only if asked for.  A group from
-:meth:`Group.from_table` (a quotient or any section X/N, read off the
-parent's right cosets by :func:`coset_group`, or an oracle product) is given
-by its multiplication table: its order is the number of rows, and its
-permutations, the right regular representation, are made only if asked for.
-Either way the index multiplication table and other caches are populated
-lazily and written once, except the sections a group builds (its cached
-quotients and factor-action products), which are freed after its checks.
+A :class:`Group` is an immutable value, and every group is the same facts:
+its order, its identity's index, its generators' indices and its
+generators' rows of the multiplication table.  A group from a spec (a
+named constructor, a product or ``perm(...)``) is given by its degree and
+generator list: a breadth-first enumeration, which stops as soon as it
+passes the order cap, finds those facts, and its order is the number of
+elements found; the image tuples are dropped.  A group from
+:meth:`Group.from_gen_rows` (a quotient or any section X/N, read off the
+parent's right cosets by :func:`coset_group`, or an oracle product) is
+given the facts directly, and its generators are the right regular
+permutations of their rows.  Either way the table is built from the
+generators' rows, and permutations from the table, only if asked for;
+caches are populated lazily and written once, except the working set
+(the group's sections, conjugation rows, table and inverses), which is
+freed after its checks and rebuilt the same if asked for again.
 :class:`StabilizerChain` (a deterministic Schreier-Sims chain) is kept as
 public API; no library path builds one.
 """
@@ -215,19 +216,19 @@ def _typecode(n: int) -> str:
 class Group:
     """A finite group; its elements are the indices 0..order-1.
 
-    A group built from generators acts on points 0..degree-1 and indexes its
-    elements in sorted order of their image tuples; once enumerated it keeps
-    its table, not its permutations, and it keeps its generators' table
-    rows, from which the table is built on first use and again after a
-    release.  A group built by :meth:`from_table` starts from its table and
-    keeps it.  Either kind makes permutations only on request.  Instances
-    are immutable; their lazy caches are idempotent, so sharing a Group
-    between threads is safe in the benign-race sense.  Every cache is
+    Every group keeps its order, identity index, generator indices and
+    generators' table rows, from which its table is built on first use and
+    again after a release, and it makes permutations only on request.  A
+    group built from generators acts on points 0..degree-1 and indexes its
+    elements in sorted order of their image tuples, found by enumeration; a
+    group built by :meth:`from_gen_rows` acts on its own indices.
+    Instances are immutable; their lazy caches are idempotent, so sharing a
+    Group between threads is safe in the benign-race sense.  Every cache is
     write-once except the working set :meth:`release_working_set` frees
     (``run_checks`` does so once every configuration has run on the group):
     the sections the group builds, its cached quotients and factor-action
-    products, its conjugation rows and, for an enumerated group, its table
-    and inverses.  Each is rebuilt, the same, if asked for again.
+    products, its conjugation rows, its table and inverses.  Each is
+    rebuilt, the same, if asked for again.
     """
 
     def __init__(self, degree: int, generators: Iterable[Permutation], name: str | None = None):
@@ -241,7 +242,6 @@ class Group:
         self._generators: tuple[Permutation, ...] | None = tuple(gens)
         self.name = name
         self._gen_idxs: tuple[int, ...] | None = None
-        self._perm_of: Callable[[int], Permutation] | None = None
         self._order: int | None = None
         self._elements: tuple[Permutation, ...] | None = None
         self._index: dict[Permutation, int] | None = None
@@ -262,51 +262,48 @@ class Group:
         self._class_memo: dict[tuple, dict[int, object]] = {}
 
     @classmethod
-    def from_table(
+    def from_gen_rows(
         cls,
-        rows: list[array],
-        inv: array,
+        order: int,
         identity_idx: int,
-        gen_idxs: Iterable[int],
+        gen_rows: dict[int, array],
         name: str | None = None,
     ) -> "Group":
-        """A group given by its multiplication table; its order is the number of rows.
+        """A group given by its generators' rows of the multiplication table.
 
-        ``rows`` and ``inv`` follow the conventions of :attr:`table` and
-        :meth:`inv`; the identity and repeats are dropped from ``gen_idxs``.
-        Permutations are made only on request, in the right regular
-        representation: element i acts on the indices as ``rows[i]``
-        (``x -> x * i``).
+        ``gen_rows`` maps the index of each generator to its row, with the
+        conventions of :attr:`table` (``row[x]`` is the index of x * g); the
+        identity's row, if given, is dropped.  The generators are the right
+        regular permutations of their rows (x -> x * g), so the group acts
+        on its own indices; its table and permutations are built from those
+        rows only on request.
         """
-        order = len(rows)
         G = cls(order, (), name)
+        gen_rows = {g: row for g, row in gen_rows.items() if g != identity_idx}
         G._generators = None
-        G._perm_of = lambda i: Permutation._unsafe(tuple(rows[i]))
-        G._gen_idxs = tuple(g for g in dict.fromkeys(gen_idxs) if g != identity_idx)
+        G._gen_idxs = tuple(gen_rows)
+        G._gen_rows = list(gen_rows.values())
         G._order = order
         G._identity_idx = identity_idx
-        G._table = rows
-        G._inv = inv
         return G
 
     def release_working_set(self) -> None:
         """Free what this group's checks built and can build again: its
         cached quotients X/N (with everything cached on them), its
-        factor-action products and conjugation rows, and, when it keeps its
-        generators' rows to rebuild them from, its table and inverses.  Its
-        own lattice, hypercenters and class memos stay."""
+        factor-action products and conjugation rows, and its table and
+        inverses, which the next read rebuilds from its generators' rows.
+        Its own lattice, hypercenters and class memos stay."""
         self._quotients.clear()
         self._factor_products.clear()
         self._conj_rows = {}
-        if self._gen_rows is not None:
-            self._table = self._inv = None
+        self._table = self._inv = None
 
     # -- basic structure ----------------------------------------------------
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
-        if self._generators is None:
-            self._generators = tuple(map(self._perm_of, self._gen_idxs))  # type: ignore[arg-type]
+        if self._generators is None:  # a row group's: x -> x * g
+            self._generators = tuple(Permutation._unsafe(tuple(row)) for row in self._gen_rows)  # type: ignore[union-attr]
         return self._generators
 
     @property
@@ -342,9 +339,8 @@ class Group:
 
         A group built from generators is enumerated first if it has not
         been, which fixes its order and its indexing (sorted by image
-        tuple); its permutations are then rebuilt from the table
-        (:meth:`_walk_elements`).  A table group makes the permutations of
-        its existing indices.
+        tuple); either way the permutations are rebuilt from the table
+        (:meth:`_walk_elements`).
         """
         cap = config.ORDER_CAP if limit is None else limit
         if self._order is None:
@@ -352,10 +348,7 @@ class Group:
         if self._elements is None:
             if self._order > cap:  # type: ignore[operator]
                 raise CapExceeded(f"order {self._order} exceeds cap {cap}")
-            if self._perm_of is None:
-                self._elements = self._walk_elements()
-            else:
-                self._elements = tuple(map(self._perm_of, range(self._order)))  # type: ignore[arg-type]
+            self._elements = self._walk_elements()
         elif limit is not None and self._order > limit:  # type: ignore[operator]
             raise CapExceeded(f"order {self._order} exceeds cap {limit}")
         return self._elements
@@ -391,7 +384,7 @@ class Group:
         self._gen_rows = [array(typecode, (rank[out[k]] for k in order)) for out in products]
 
     def _walk_elements(self) -> tuple[Permutation, ...]:
-        """The permutations of an enumerated group, by index, rebuilt by a
+        """The permutations of the group, by index, rebuilt by a
         breadth-first walk out from the identity over its table:
         ``perm(table[g][x]) = perm(x) * gen_g``."""
         table = self.table
@@ -434,7 +427,7 @@ class Group:
     def _build_table(self) -> tuple[list[array], array]:
         """Dense right-multiplication table: ``r_a[x] == index(elem[x] * elem[a])``.
 
-        From the generators' rows of the enumeration, the row of g * a is
+        From the generators' rows, the row of g * a is
         ``r_a`` gathered at ``r_g`` (x * g * a), and the inverse of a is the
         x with ``r_a[x]`` the identity.  Up to order 256 rows are one byte
         and the gather is ``bytes(r_g).translate(bytes(r_a) + pad)``, in C;
@@ -474,7 +467,7 @@ class Group:
     def table(self) -> list[array]:
         """The multiplication table: ``table[j][i]`` is the index of elements[i] * elements[j].
 
-        Built on first use for every enumerated group, and again after a
+        Built from the generators' rows on first use, and again after a
         release (:meth:`release_working_set`).  Rows are ``array``
         objects of :func:`_typecode` entries: up to order 256 one byte each
         (at most 256 rows of 256 bytes, 64 KB of entries); at the order cap
@@ -853,23 +846,24 @@ def coset_group(
     gen_idxs: Iterable[int],
     name: str | None = None,
 ) -> Group:
-    """The section X/N as a table group read off G's table.
+    """The section X/N as a group of its generators' rows, read off G's table.
 
     ``coset_of`` and ``reps`` are :func:`right_cosets` of N within X, with N
     normal in X, and ``gen_idxs`` are G-indices of generators of X.  Element
-    c is coset c: ``table[d][c]`` is the coset of ``reps[c] * reps[d]`` and
-    the inverse of c is the coset of ``reps[c]``'s inverse.
+    c is coset c, and the row of the coset of a generator g is
+    ``row[c]`` = the coset of ``reps[c] * g``, which is the coset of
+    ``reps[c] * reps[d]`` for g in coset d, as N is normal in X.
     """
     table = G.table
     typecode = _typecode(len(reps))
-    rows = []
-    for b in reps:
-        row = table[b]  # a -> a * b
-        # a comprehension fills a row about twice as fast as a map chain
-        rows.append(array(typecode, [coset_of[row[a]] for a in reps]))
-    coset = coset_of.__getitem__
-    inv = array(typecode, map(coset, map(G.inv, reps)))
-    return Group.from_table(rows, inv, coset_of[G.identity_idx], map(coset, gen_idxs), name)
+    gen_rows: dict[int, array] = {}
+    for g in gen_idxs:
+        c = coset_of[g]
+        if c not in gen_rows:
+            row = table[g]  # a -> a * g
+            # a comprehension fills a row about twice as fast as a map chain
+            gen_rows[c] = array(typecode, [coset_of[row[a]] for a in reps])
+    return Group.from_gen_rows(len(reps), coset_of[G.identity_idx], gen_rows, name)
 
 
 def quotient(G: Group, normal_mask: int, normal_gen_idxs: Sequence[int]) -> QuotientMap:

@@ -2,13 +2,13 @@
 
 Two independent centrality tests are provided: the oracle tests class
 membership of the semidirect product of the factor with the acting
-quotient, built as a table group for an abelian factor and decided from
-the primes of its order, by a theorem, for a non-abelian one; the local test
-checks membership of the acting section G/C_G(H/K), decided in G itself, in
-the canonical local class at each relevant prime.  The hypercenter is
-computed by greedy ascent through minimal normal subgroups and then
-re-verified; both read one cached verdict per chief factor, class and
-method.
+quotient, built from its generators' table rows for an abelian factor
+and decided from the primes of its order, by a theorem, for a non-abelian
+one; the local test checks membership of the acting section G/C_G(H/K),
+decided in G itself, in the canonical local class at each relevant prime.
+The hypercenter is computed by greedy ascent through minimal normal
+subgroups and then re-verified; both read one cached verdict per chief
+factor, class and method.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import InternalCheckFailure, OracleCapExceeded
-from .groups import Group, QuotientMap, _typecode, coset_group, prime_factors, quotient, right_cosets
+from .groups import Group, QuotientMap, _typecode, prime_factors, quotient, right_cosets
 from .series import ChiefFactor, _chief_masks_to, _minimal_normal_above
 from .subgroups import (
     SubgroupRef,
@@ -59,9 +59,9 @@ def build_factor_action_product(G: Group, factor: ChiefFactor) -> Group:
     """The semidirect product (H/K) x| (G/C) with the conjugation action.
 
     The quotient G/C embeds in the automorphisms of the factor (C is exactly
-    the kernel), so the product has order |H/K| * |G/C|.  It is built, as a
-    table group read off G's table, only for an abelian factor: then H <= C,
-    so the order is at most |G/K|.  A non-abelian factor raises
+    the kernel), so the product has order |H/K| * |G/C|.  It is built from
+    its generators' rows read off G's table, only for an abelian factor:
+    then H <= C, so the order is at most |G/K|.  A non-abelian factor raises
     :class:`OracleCapExceeded`.  Cached on G per factor; the cache is read
     first, so a cached product costs no centralizer scan.
     """
@@ -85,45 +85,38 @@ def _table_product(
     reps: list[int],
     acting: QuotientMap,
 ) -> Group:
-    """(H/K) x| A, A = G/C, as a table group.
+    """(H/K) x| A, A = G/C, as a group of its generators' rows.
 
     Element (c, a) has index a*m + c, m = |H/K|, and A acts on the right by
     conjugation with coset representatives: (c1, a1)(c2, a2) =
-    (c1 * c2^(a1^-1), a1 * a2).
+    (c1 * c2^(a1^-1), a1 * a2).  The generators are (c2, 1) for the
+    generators c2 of H/K and (1, a2) for those of A, whose rows are
+    (c1, a1)(c2, 1) = (c1 * c2^(a1^-1), a1) and (c1, a1)(1, a2) =
+    (c1, a1 * a2), read off G's table with a representative g of a1:
+    c2^(a1^-1) is the coset of g h g^-1 for h in c2.
     """
-    table = G.table
+    table, inverses = G.table, G.inverses
     m = len(reps)
-    # H/K, with right multiplication factor_rows[d][c] = c * d
-    HK = coset_group(G, coset_of, reps, factor.above.gen_idxs)
-    factor_rows = HK.table
-    factor_inv = HK.inverses
     A = acting.group
-    a_table = A.table
-    a_inv = A.inverses
-    # the action: act[a][c] = c^a, conjugation by a representative of a
-    act = []
-    for g in acting.reps:
-        ginv = G.inv(g)
-        row_g = table[g]
-        act.append([coset_of[row_g[table[r][ginv]]] for r in reps])
     typecode = _typecode(m * A.order)
-    rows = []
-    for a2 in range(A.order):
-        a_row = a_table[a2]
-        for c2 in range(m):
-            row: list[int] = []
-            for a1 in range(A.order):
-                row += map((a_row[a1] * m).__add__, factor_rows[act[a_inv[a1]][c2]])
-            rows.append(array(typecode, row))
-    inv = array(
-        typecode,
-        (a_inv[a] * m + act[a][factor_inv[c]] for a in range(A.order) for c in range(m)),
-    )
-    c_e = HK.identity_idx
-    a_e = A.identity_idx
-    gens = [a_e * m + c for c in HK.gen_idxs()]
-    gens += [a * m + c_e for a in A.gen_idxs()]
-    return Group.from_table(rows, inv, a_e * m + c_e, gens, name="factor-action-product")
+    a_e, c_e = A.identity_idx, coset_of[G.identity_idx]
+    gen_rows: dict[int, array] = {}
+    for h in factor.above.gen_idxs:
+        if a_e * m + coset_of[h] in gen_rows:
+            continue
+        row: list[int] = []
+        for a1, g in enumerate(acting.reps):
+            conj_row = table[table[inverses[g]][table[h][g]]]  # x -> x * g h g^-1
+            row += [a1 * m + coset_of[conj_row[r]] for r in reps]
+        gen_rows[a_e * m + coset_of[h]] = array(typecode, row)
+    for a2 in A.gen_idxs():
+        row_a2 = table[acting.reps[a2]]
+        row = []
+        for g in acting.reps:
+            base = acting.coset_of[row_a2[g]] * m  # a1 * a2
+            row += range(base, base + m)
+        gen_rows[a2 * m + c_e] = array(typecode, row)
+    return Group.from_gen_rows(m * A.order, a_e * m + c_e, gen_rows, name="factor-action-product")
 
 
 def _holds_non_abelian_product(F: FormationExpr, order: int) -> bool:

@@ -25,8 +25,11 @@ table built from Permutation products, ``table_by_permutation_products``,
 the element permutations kept by the enumeration,
 ``elements_by_enumeration``, the normal subgroups from one closure per
 conjugacy class,
-``normal_subgroup_masks_by_classes``, and the semidirect action checked map
-by map, relations, bijection and homomorphism, ``semidirect_action_by_maps``),
+``normal_subgroup_masks_by_classes``, the semidirect action checked map
+by map, relations, bijection and homomorphism, ``semidirect_action_by_maps``,
+and the section X/N and the oracle product with every table row and the
+inverse column built, ``coset_group_by_full_rows`` and
+``table_product_by_full_rows``),
 each the library's algorithm before its exact shortcut, before the lattice
 became its source, before it read sections as masks in the ambient group,
 before one routine served every caller, or before it was pruned.
@@ -879,3 +882,57 @@ def semidirect_action_by_maps(N, H, action) -> bool:
                     return False
         frontier = nxt
     return True
+
+
+def coset_group_by_full_rows(G, coset_of, reps, gen_idxs):
+    """Oracle for ``groups.coset_group``: the section X/N's every table row
+    and its inverse column, each read off G's table one coset
+    representative at a time (``table[d][c]`` is the coset of
+    ``reps[c] * reps[d]``, the inverse of c the coset of ``reps[c]``'s
+    inverse).  Returns (rows, inverses, identity index, generator indices),
+    the generators with the identity and repeats dropped."""
+    from array import array
+
+    from flab.groups import _typecode
+
+    table = G.table
+    typecode = _typecode(len(reps))
+    rows = [array(typecode, [coset_of[table[b][a]] for a in reps]) for b in reps]
+    inv = array(typecode, (coset_of[G.inv(a)] for a in reps))
+    e = coset_of[G.identity_idx]
+    gens = tuple(c for c in dict.fromkeys(coset_of[g] for g in gen_idxs) if c != e)
+    return rows, inv, e, gens
+
+
+def table_product_by_full_rows(G, factor, coset_of, reps, acting):
+    """Oracle for ``hypercenter._table_product``: (H/K) x| A, A = G/C, with
+    every row from (c1, a1)(c2, a2) = (c1 * c2^(a1^-1), a1 * a2), the action
+    tabulated for every pair (a, c), and the inverse column
+    (c, a)^-1 = ((c^-1)^a, a^-1).  Element (c, a) has index a*m + c.
+    Returns (rows, inverses, identity index, generator indices)."""
+    from array import array
+
+    from flab.groups import _typecode
+
+    table = G.table
+    m = len(reps)
+    factor_rows, factor_inv, c_e, factor_gens = coset_group_by_full_rows(
+        G, coset_of, reps, factor.above.gen_idxs
+    )
+    a_table, a_inv, a_e, a_gens = coset_group_by_full_rows(G, acting.coset_of, acting.reps, G.gen_idxs())
+    act = []  # act[a][c] = c^a, conjugation by a representative of a
+    for g in acting.reps:
+        ginv = G.inv(g)
+        act.append([coset_of[table[g][table[r][ginv]]] for r in reps])
+    order = len(acting.reps)
+    typecode = _typecode(m * order)
+    rows = []
+    for a2 in range(order):
+        for c2 in range(m):
+            row: list[int] = []
+            for a1 in range(order):
+                row += [a_table[a2][a1] * m + x for x in factor_rows[act[a_inv[a1]][c2]]]
+            rows.append(array(typecode, row))
+    inv = array(typecode, (a_inv[a] * m + act[a][factor_inv[c]] for a in range(order) for c in range(m)))
+    gens = [a_e * m + c for c in factor_gens] + [a * m + c_e for a in a_gens]
+    return rows, inv, a_e * m + c_e, tuple(dict.fromkeys(gens))

@@ -115,9 +115,22 @@ def test_theorem_a_expected_rows():
 
 
 def test_theorem_a_soluble_blocks_probe(small_corpus):
-    r = run_check("theorem-a", {"partition": parse_partition("{2,3}:spi")}, small_corpus)
+    r = run_check("theorem-a", {"partition": parse_partition("{2,3,5}:spi")}, small_corpus)
     assert not r.assertive
     assert all(row.get("note") for row in r.rows)
+
+
+def test_two_prime_soluble_blocks_are_assertive(small_corpus):
+    # Burnside's p^a q^b theorem: a soluble block of two primes is Gpi of them
+    runs = [
+        run_check("theorem-a", {"partition": parse_partition("{2,3}:spi")}, small_corpus),
+        run_check("theorem-a", {"partition": parse_partition("{2,3}:spi,{5,7}")}, small_corpus),
+        run_check("theorem-b", {"formation": parse_formation("Spi{2,3}")}, small_corpus),
+        run_check("theorem-b", {"formation": parse_formation("cross[{2,3}:spi]")}, small_corpus),
+    ]
+    for r in runs:
+        assert r.assertive and r.failed == 0, r.params
+        assert not any(row.get("note") for row in r.rows), r.params
 
 
 def test_theorem_b_u_probe_is_informational(small_corpus):

@@ -1,13 +1,18 @@
-"""Table groups: quotients and sections built from the parent's table.
+"""Groups built from rows: quotients, sections and oracle products read off
+the parent's table.
 
 ``quotient`` is compared with the permutation-group construction it
 replaced (``oracles.quotient_by_permutations``) on corpus groups of order at
 most 60; ``coset_group``'s sections X/N are compared with the quotient of X
-built as a permutation group from its generators.  Enumerated groups keep
-their table too: their permutations, made on request, are compared with the
-enumeration that once kept them (``oracles.elements_by_enumeration``), and
-no group keeps them after the default suite.  A table group has no
-generators' rows to rebuild its table from, so a release keeps it.
+built as a permutation group from its generators, and with the section
+whose every row was read off the parent (``oracles.coset_group_by_full_rows``);
+the oracle product of each abelian chief factor is compared with the one
+built row by row (``oracles.table_product_by_full_rows``).  Enumerated
+groups keep their table too: their permutations, made on request, are
+compared with the enumeration that once kept them
+(``oracles.elements_by_enumeration``), and no group keeps them after the
+default suite.  Every group keeps its generators' rows, so a release frees
+every group's table, and the next read rebuilds it.
 """
 
 import functools
@@ -18,12 +23,16 @@ from hypothesis import given, settings, strategies as st
 
 from flab.checks import CHECKS, DEFAULT_SUITE, run_checks
 from flab.corpus import build_corpus
+from flab.formations import Gpi, formation_member
 from flab.groups import Group, StabilizerChain, coset_group, make_group, quotient, right_cosets
+from flab.hypercenter import _table_product, build_factor_action_product
 from flab.lattice import all_subgroups, lattice_summary
 from flab.perms import Permutation
+from flab.series import chief_factors
 from flab.subgroups import (
     bits,
     centralizer,
+    centralizer_of_factor,
     full_subgroup,
     gens_for_mask,
     normal_subgroup_masks,
@@ -31,11 +40,13 @@ from flab.subgroups import (
 
 from .oracles import (
     center_bf,
+    coset_group_by_full_rows,
     element_order_histogram,
     elements_by_enumeration,
     elements_of,
     quotient_by_permutations,
     table_by_permutation_products,
+    table_product_by_full_rows,
 )
 
 
@@ -129,7 +140,8 @@ def test_quotient_and_subgroup_build_no_stabilizer_chain(monkeypatch):
 def test_coset_group_matches_quotient_of_the_permutation_built_subgroup():
     # X built from its generators keeps G's relative index order (both sort by
     # image tuple), so X/N read off G's cosets is that group's quotient, table
-    # for table; and the coset map carries G's products and inverses in X to X/N
+    # for table, and the section read off G a row at a time; and the coset
+    # map carries G's products and inverses in X to X/N
     for entry in _corpus60():
         G = entry.group
         for X in all_subgroups(G).refs:
@@ -147,6 +159,8 @@ def test_coset_group_matches_quotient_of_the_permutation_built_subgroup():
                     Q.identity_idx,
                     Q.gen_idxs(),
                 ), (entry.name, X.order, n_mask.bit_count())
+                full_rows = coset_group_by_full_rows(G, coset_of, reps, X.gen_idxs)
+                assert (S.table, S.inverses, S.identity_idx, S.gen_idxs()) == full_rows
                 for a in members:
                     assert S.inv(coset_of[a]) == coset_of[G.inv(a)]
                     for b in members:
@@ -233,7 +247,7 @@ def test_groups_hold_no_permutations_after_the_default_suite():
     assert live_permutations() - before <= generators
 
 
-def test_from_table_regular_representation():
+def test_row_group_regular_representation():
     G = make_group("D10")
     Q = quotient(G, 1 << G.identity_idx, ()).group
     assert isinstance(Q, Group) and Q.order == 10 and Q.degree == 10
@@ -242,27 +256,66 @@ def test_from_table_regular_representation():
         for j in range(Q.order):
             assert Q.perm_at(i) * Q.perm_at(j) == Q.perm_at(Q.mul(i, j))
     assert Q.generators == tuple(Q.perm_at(g) for g in Q.gen_idxs())
+    # each generator is the permutation of its table row, x -> x * g
+    assert Q.generators == tuple(Permutation(Q.table[g]) for g in Q.gen_idxs())
     assert Q.identity_idx not in Q.gen_idxs()
 
 
-def test_release_keeps_the_table_of_a_table_group():
-    # a quotient and a coset_group section are built from their table and
-    # cannot rebuild it, so a release frees only their conjugation rows; the
-    # enumerated group they came from frees its table and rebuilds it the same
+def test_release_frees_the_table_of_every_group():
+    # every group keeps its generators' rows, so a release frees the table,
+    # inverses and conjugation rows of an enumerated group, a quotient, a
+    # coset_group section and an oracle product alike, and the next read
+    # rebuilds them equal
     G = make_group("S4")
     V4 = next(m for m in normal_subgroup_masks(G) if m.bit_count() == 4)
     Q = quotient(G, V4, gens_for_mask(G, V4)).group
     X = next(ref for ref in all_subgroups(G).refs if ref.order == 12)
-    coset_of, reps = right_cosets(G, X.mask, V4)
-    S = coset_group(G, coset_of, reps, X.gen_idxs)
-    assert (Q.order, S.order) == (6, 3)
-    for H in (Q, S):
-        table, inverses = H.table, H.inverses
+    S = coset_group(G, *right_cosets(G, X.mask, V4), X.gen_idxs)
+    factor = next(f for f in chief_factors(G) if f.below.order == 1 and f.above.order == 4)
+    W = build_factor_action_product(G, factor)
+    assert (Q.order, S.order, W.order) == (6, 3, 24)
+    for H in (G, Q, S, W):
+        table, inverses = list(H.table), H.inverses
         conj_rows = [H.conj_row(g) for g in range(H.order)]
         H.release_working_set()
-        assert H._table is table and H._inv is inverses and not H._conj_rows, H.order
-        assert [H.conj_row(g) for g in range(H.order)] == conj_rows, H.order
-    table, inverses = list(G.table), G.inverses
-    G.release_working_set()
-    assert G._table is None and G._inv is None
-    assert G.inverses == inverses and G.table == table
+        assert H._table is None and H._inv is None and not H._conj_rows, H.name
+        assert H.inverses == inverses and H.table == table, H.name
+        assert [H.conj_row(g) for g in range(H.order)] == conj_rows, H.name
+
+
+# -- oracle products, and a section that builds no table --------------------------
+
+
+def test_factor_product_matches_the_full_row_oracle():
+    # every abelian chief factor H/K of every group up to order 150
+    products = 0
+    for entry in build_corpus(150):
+        G = entry.group
+        for factor in chief_factors(G):
+            if len(factor.primes()) > 1:
+                continue
+            cent = centralizer_of_factor(G, factor.above, factor.below)
+            coset_of, reps = right_cosets(G, factor.above.mask, factor.below.mask)
+            acting = quotient(G, cent.mask, cent.gen_idxs)
+            W = _table_product(G, factor, coset_of, reps, acting)
+            expected = table_product_by_full_rows(G, factor, coset_of, reps, acting)
+            assert (W.table, W.inverses, W.identity_idx, W.gen_idxs()) == expected, (
+                entry.name,
+                factor.below.order,
+                factor.above.order,
+            )
+            products += 1
+    assert products > 500
+
+
+def test_membership_by_primes_builds_no_section_table():
+    # a class decided by the primes of the order reads no table, so a
+    # section made for it holds only its generators' rows
+    G = make_group("S4")
+    V4 = next(m for m in normal_subgroup_masks(G) if m.bit_count() == 4)
+    for X in all_subgroups(G).refs:
+        if X.mask & V4 == V4:
+            S = coset_group(G, *right_cosets(G, X.mask, V4), X.gen_idxs)
+            assert formation_member(Gpi(frozenset({2, 3})), S)
+            assert formation_member(Gpi(frozenset({2})), S) == (S.order & (S.order - 1) == 0)
+            assert S._table is None and S._inv is None, X.order
