@@ -5,13 +5,22 @@ only formed between conjugacy-class representatives and prime-power cyclic
 "atoms" (every subgroup is generated by its prime-power cyclic subgroups, and
 conjugating a representative's joins yields the joins of the whole class),
 one atom per orbit of its normalizer, and each new subgroup is immediately
-expanded to its conjugacy class.  The result is exactly the set of all
-subgroups, found once each.
+expanded to its conjugacy class.  A first sweep forms only the cyclic
+extensions H<a> of prime index p over H (a normalizes H and a^p lies in H,
+Neubüser's method): every subgroup K > 1 of a soluble group has a normal
+subgroup of prime index, so this finds every subgroup of a soluble group,
+and it reaches G iff G is soluble.  An atom inside a join already formed
+from H is skipped, which is exact because no subgroup lies strictly between
+H and a join of prime index over it.  Only an insoluble group gets a second
+sweep that joins each representative with every atom orbit still unseen.
+The result is exactly the set of all subgroups, found once each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 
 from . import config
 from .errors import LatticeBudgetExceeded
@@ -90,9 +99,25 @@ def _cyclic_subgroups(G: Group) -> dict[int, int]:
 def _enumerate_subgroups(G: Group) -> list[list[int]]:
     """The conjugacy classes of subgroups of G, each as the masks of its members.
 
-    A representative H is joined with one atom from each N_G(H)-orbit of the
-    atoms outside it, as <H, a>^g = <H, a^g> for g in N_G(H) (Cannon, Cox &
-    Holt, JSC 2001)."""
+    A class representative H is joined with atoms a outside it, one per
+    N_G(H)-orbit, as <H, a>^g = <H, a^g> for g in N_G(H) (Cannon, Cox & Holt,
+    JSC 2001).  Two sweeps choose the atoms:
+
+    - The extension sweep joins only the extension atoms of H: those a in
+      N_G(H) outside H with a^p in H, p the prime of a, so that H<a> has
+      index p over H.  An atom b inside a join H<a> already formed from H is
+      skipped: H < <H, b> <= H<a> and the index p is prime, so <H, b> = H<a>.
+      Every subgroup K > 1 of a soluble group has a normal subgroup H of
+      prime index p, and K = H<a> for the p-part a of any element of K
+      outside H, so by induction on |K| this sweep finds every subgroup of a
+      soluble group.  It reaches G (forms a join that is G) iff G is
+      soluble: every subgroup it forms is soluble, and a join H<a> = G makes
+      H a normal subgroup of G of prime index.
+    - Only if it did not reach G, the all-atom sweep joins every atom orbit
+      still unseen from every representative, each representative keeping
+      its normalizer and seen atoms from the first sweep.  Every subgroup is
+      generated by atoms, so this finds the rest.
+    """
     n = G.order
     e = G.identity_idx
     full_mask = (1 << n) - 1
@@ -100,15 +125,23 @@ def _enumerate_subgroups(G: Group) -> list[list[int]]:
     largest_proper = max(divisors) if divisors else 1
     table, inv = G.table, G.inverses
 
-    # seed: all cyclic subgroups; atoms: the prime-power ones
+    # seed: all cyclic subgroups; atoms: the prime-power ones, each with a^p
     cyclic_masks = _cyclic_subgroups(G)
     orders = G.elt_orders()
-    atoms = [x for x in cyclic_masks.values() if len(prime_factors(orders[x])) == 1]
     owner = [e] * n  # each generator of a cyclic subgroup -> the subgroup's name
+    atom_mask = 0
+    pth_power = [e] * n
     for m, x in cyclic_masks.items():
         for y in bits(m):
             if orders[y] == orders[x]:
                 owner[y] = x
+        primes = prime_factors(orders[x])
+        if len(primes) == 1:
+            atom_mask |= 1 << x
+            row, y = table[x], x
+            for _ in range(primes[0] - 1):
+                y = row[y]
+            pth_power[x] = y
 
     found: set[int] = {1 << e}
     orbits: list[list[int]] = [[1 << e]]
@@ -132,40 +165,68 @@ def _enumerate_subgroups(G: Group) -> list[list[int]]:
     for m in sorted(cyclic_masks):
         add_class(m, (cyclic_masks[m],))
 
+    # rep -> (N_G(H), its generators' conjugation rows, atoms already joined or skipped)
+    rep_state: dict[int, tuple[int, list, bytearray]] = {}
     joins = 0
-    while queue:
-        rep = queue.pop()
-        if rep == full_mask:  # no atom lies outside
-            continue
+
+    def join_orbits(rep: int, extension_only: bool) -> bool:
+        """Join rep with one atom of each unseen N_G(rep)-orbit, only its
+        extension atoms if ``extension_only``; True if a join is G."""
+        nonlocal joins
         gens = rep_gens[rep]
-        # generators of N_G(H): H's, then each element of N_G(H) outside their closure
-        norm_mask = normalizer(G, subgroup_from_mask(G, rep, gens)).mask
-        norm_gens, have = list(gens), rep
-        for x in bits(norm_mask):
-            if have == norm_mask:
-                break
-            if not (have >> x) & 1:
-                norm_gens.append(x)
-                have = closure_mask(G, norm_gens, base=have)
-        conj = [(table[g], inv[g]) for g in norm_gens]  # x^g = table[g][table[x][inv[g]]]
-        seen = bytearray(n)
-        for a in atoms:
-            if seen[a] or (rep >> a) & 1:
+        state = rep_state.get(rep)
+        if state is None:
+            # generators of N_G(H): H's, then each element of N_G(H) outside their closure
+            norm_mask = normalizer(G, subgroup_from_mask(G, rep, gens)).mask
+            norm_gens, have = list(gens), rep
+            for x in bits(norm_mask):
+                if have == norm_mask:
+                    break
+                if not (have >> x) & 1:
+                    norm_gens.append(x)
+                    have = closure_mask(G, norm_gens, base=have)
+            conj = [(table[g], inv[g]) for g in norm_gens]  # x^g = table[g][table[x][inv[g]]]
+            state = rep_state[rep] = (norm_mask, conj, bytearray(n))
+        norm_mask, conj, seen = state
+        reached = False
+        for a in bits((norm_mask if extension_only else full_mask) & atom_mask & ~rep):
+            if seen[a]:
+                continue
+            extension = (norm_mask >> a) & 1 and (rep >> pth_power[a]) & 1
+            if extension_only and not extension:
                 continue
             joins += 1
             if joins > config.LATTICE_JOIN_BUDGET:
                 raise LatticeBudgetExceeded("join budget exhausted")
             joined = closure_mask(G, list(gens) + [a], stop_above=largest_proper, base=rep)
             add_class(joined, tuple(sorted(set(gens) | {a})))
-            seen[a] = 1
-            pending = [a]
-            while pending:  # the rest of a's orbit
-                row = table[pending.pop()]
-                for row_g, g_inv in conj:
-                    b = owner[row_g[row[g_inv]]]
-                    if not seen[b]:
-                        seen[b] = 1
-                        pending.append(b)
+            reached = reached or joined == full_mask
+            # <H, b> = H<a> for every atom b of H<a> outside H: their orbits need no join
+            for b in (bits(joined & atom_mask & ~rep) if extension else (a,)):
+                if seen[b]:
+                    continue
+                seen[b] = 1
+                pending = [b]
+                while pending:  # the rest of b's orbit
+                    row = table[pending.pop()]
+                    for row_g, g_inv in conj:
+                        c = owner[row_g[row[g_inv]]]
+                        if not seen[c]:
+                            seen[c] = 1
+                            pending.append(c)
+        return reached
+
+    reached = n == 1  # the unit group is soluble
+    while queue:
+        rep = queue.pop()
+        if rep != full_mask and join_orbits(rep, True):
+            reached = True
+    if not reached:  # G is insoluble
+        queue.extend(rep_gens)  # every representative; those found now are appended
+        while queue:
+            rep = queue.pop()
+            if rep != full_mask:
+                join_orbits(rep, False)
     return orbits
 
 
@@ -181,15 +242,19 @@ def all_subgroups(G: Group | SubgroupRef) -> SubgroupLattice:
     index_of_mask = {m: i for i, m in enumerate(masks)}
 
     count = len(refs)
-    orders = [m.bit_count() for m in masks]
-    sup_rows = [0] * count
+    cols = [0] * G.order  # bit i set: element x lies in refs[i]
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        for x in bits(m):
+            cols[x] |= bit
+    # the subgroups containing refs[i] are those containing each of its members;
+    # all come at or after i, as one of equal order containing it is it
+    sup_rows = [reduce(and_, map(cols.__getitem__, bits(m))) for m in masks]
     sub_rows = [0] * count
-    for i, mi in enumerate(masks):
-        oi = orders[i]
-        for j in range(i, count):
-            if orders[j] % oi == 0 and mi & ~masks[j] == 0:
-                sup_rows[i] |= 1 << j
-                sub_rows[j] |= 1 << i
+    for i, row in enumerate(sup_rows):
+        bit = 1 << i
+        for j in bits(row):
+            sub_rows[j] |= bit
 
     # numbered by lowest member index, the order in which the lemma checks sample classes
     classes = sorted(tuple(sorted(index_of_mask[m] for m in orbit)) for orbit in orbits)

@@ -7,6 +7,7 @@ from flab.errors import LatticeBudgetExceeded
 from flab.groups import Group, make_group
 from flab.lattice import all_subgroups, frattini, lattice_summary, maximal_subgroups
 from flab.perms import Permutation
+from flab.series import is_soluble
 from flab.subgroups import bits, closure_mask, conjugacy_orbit, normalizer, prime_factors
 
 from .oracles import subgroups_by_all_joins, subgroups_by_cyclic_extension, subgroups_by_small_subsets
@@ -177,39 +178,93 @@ def _classes(lat):
 
 
 def test_lattice_classes_match_all_joins_oracle():
-    # every group of build_corpus(120) and every fixed product
+    # every group of build_corpus(120) (A5 and S5 among them) and every fixed product,
+    # and insoluble products whose lattices mix soluble and insoluble subgroups
     groups = [entry.group for entry in build_corpus(120)]
     groups += [G for G in (make_group(spec) for _, spec in _FIXED_PRODUCTS) if G.order > 120]
+    groups += [make_group(spec) for spec in ("C2 x S5", "A5 x C3")]
+    assert {"A5", "S5"} <= {G.name for G in groups}
     for G in groups:
         oracle = {frozenset(orbit) for orbit in subgroups_by_all_joins(G)}
         assert _classes(all_subgroups(G)) == oracle, G.name
 
 
-@pytest.mark.parametrize("spec", ["S4", "A5", "SL(2,3)"])
-def test_each_representative_joins_one_atom_per_normalizer_orbit(spec, monkeypatch):
-    G = make_group(spec)
-    joins: dict[int, list[int]] = {}
+def _normalizer_mask(G, mask):
+    return sum(1 << g for g in range(G.order) if all((mask >> G.conj(h, g)) & 1 for h in bits(mask)))
+
+
+def _is_extension(rep, norm, atom):
+    """Whether the cyclic p-group ``atom`` lies in N(rep) and meets rep in its subgroup of index p."""
+    q = atom.bit_count()
+    return atom & ~norm == 0 and (atom & rep).bit_count() * prime_factors(q)[0] == q
+
+
+def _record_joins(G, monkeypatch):
+    """Each join all_subgroups(G) forms, in order, as (representative, atom,
+    join, whether the atom is an extension atom), and each representative's
+    normalizer."""
+    raw = []
 
     def recording_closure(G_, seeds, stop_above=None, base=None):
+        joined = closure_mask(G_, seeds, stop_above=stop_above, base=base)
         if stop_above is not None:  # a join of a representative with one atom
-            joins.setdefault(base, []).append(list(seeds)[-1])
-        return closure_mask(G_, seeds, stop_above=stop_above, base=base)
+            raw.append((base, closure_mask(G_, [list(seeds)[-1]]), joined))
+        return joined
 
     monkeypatch.setattr(lattice_mod, "closure_mask", recording_closure)
     all_subgroups(G)
     monkeypatch.undo()
-    n = G.order
-    atoms = {closure_mask(G, [x]) for x in range(n) if len(prime_factors(G.elt_order(x))) == 1}
+    norms = {rep: _normalizer_mask(G, rep) for rep, _, _ in raw}
+    return [(rep, atom, joined, _is_extension(rep, norms[rep], atom)) for rep, atom, joined in raw], norms
+
+
+@pytest.mark.parametrize("spec", ["S4", "A5", "SL(2,3)"])
+def test_each_representative_joins_one_atom_per_normalizer_orbit(spec, monkeypatch):
+    G = make_group(spec)
+    joins, norms = _record_joins(G, monkeypatch)
+    soluble = is_soluble(G)
+    atoms = {closure_mask(G, [x]) for x in range(G.order) if len(prime_factors(G.elt_order(x))) == 1}
     atoms.discard(1 << G.identity_idx)
-    assert joins
-    for rep, joined in joins.items():
-        members = list(bits(rep))
-        norm = [g for g in range(n) if all((rep >> G.conj(h, g)) & 1 for h in members)]
+    # the extension sweep joins only extension atoms; the all-atom sweep runs iff G is insoluble
+    first_all_atom = next((k for k, join in enumerate(joins) if not join[3]), len(joins))
+    assert (first_all_atom == len(joins)) == soluble
+    for rep, norm in norms.items():
 
         def orbit(mask):
-            return frozenset(sum(1 << G.conj(x, g) for x in bits(mask)) for g in norm)
+            return frozenset(sum(1 << G.conj(x, g) for x in bits(mask)) for g in bits(norm))
 
-        outside = {orbit(a) for a in atoms if a & ~rep}
-        joined_orbits = [orbit(closure_mask(G, [a])) for a in joined]
-        assert len(set(joined_orbits)) == len(joined_orbits), (spec, rep)  # no orbit twice
-        assert set(joined_orbits) == outside, (spec, rep)  # and every orbit once
+        def accounted(rep_joins):
+            """Orbits joined from rep, and those inside one of its extension joins."""
+            out = set()
+            for _, atom, joined, extension in rep_joins:
+                assert orbit(atom) not in out, (spec, rep)  # no orbit twice, nor one already accounted
+                out.add(orbit(atom))
+                if extension:  # <H, b> = <H, a> for an atom b of <H, a> outside H
+                    out.update(orbit(b) for b in atoms if b & ~rep and b & ~joined == 0)
+            return out
+
+        swept = accounted([join for join in joins if join[0] == rep])
+        extension_orbits = {orbit(b) for b in atoms if _is_extension(rep, norm, b)}
+        assert extension_orbits <= swept, (spec, rep)
+        if not soluble:
+            # the extension sweep finishes a representative before the all-atom sweep
+            first_sweep = [join for join in joins[:first_all_atom] if join[0] == rep]
+            if first_sweep:
+                assert extension_orbits <= accounted(first_sweep), (spec, rep)
+            assert swept == {orbit(b) for b in atoms if b & ~rep}, (spec, rep)  # every orbit outside H
+    if not soluble:  # every class but G's and the unit group's has a representative that joins
+        classes = {frozenset(conjugacy_orbit(G, rep)) for rep in norms}
+        assert len(classes) == len(all_subgroups(G).classes) - 2
+
+
+@pytest.mark.parametrize("spec, most_joins", [("D200", 40), ("A5", None)])
+def test_all_atom_sweep_runs_only_for_insoluble_groups(spec, most_joins, monkeypatch):
+    G = make_group(spec)
+    joins, _ = _record_joins(G, monkeypatch)
+    soluble = is_soluble(G)
+    assert all(extension for *_, extension in joins) == soluble
+    # the extension sweep reaches G iff G is soluble
+    full = (1 << G.order) - 1
+    assert any(joined == full and extension for _, _, joined, extension in joins) == soluble
+    if most_joins is not None:
+        assert len(joins) <= most_joins
