@@ -235,14 +235,9 @@ def formation_member(F: FormationExpr, X: Group | SubgroupRef) -> bool:
 def member_bits(F: FormationExpr, lat: SubgroupLattice, inside: int) -> int:
     """The bitmask of the lattice indices in ``inside`` whose subgroups belong
     to F, decided as :func:`formation_member` decides them, through its memo."""
-    memo = lat.ambient._class_memo.setdefault(("member", F), {})
     out = 0
     for i in bits(inside):
-        X = lat.refs[i]
-        value = memo.get(X.mask)
-        if value is None:
-            value = memo[X.mask] = _member_ref(F, X)
-        out |= value << i
+        out |= _memoised("member", F, lat.refs[i], _member_ref) << i
     return out
 
 

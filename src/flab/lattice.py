@@ -176,9 +176,13 @@ def _enumerate_subgroups(G: Group) -> list[list[int]]:
         gens = rep_gens[rep]
         state = rep_state.get(rep)
         if state is None:
-            # generators of N_G(H): H's, then each element of N_G(H) outside their closure
+            # generators of N_G(H): G's if H is normal, else H's, then each element
+            # of N_G(H) outside their closure (the orbits do not depend on the choice)
             norm_mask = normalizer(G, subgroup_from_mask(G, rep, gens)).mask
-            norm_gens, have = list(gens), rep
+            if norm_mask == full_mask:
+                norm_gens, have = list(G.gen_idxs()), full_mask
+            else:
+                norm_gens, have = list(gens), rep
             for x in bits(norm_mask):
                 if have == norm_mask:
                     break

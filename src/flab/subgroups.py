@@ -8,7 +8,6 @@ the ambient group's elements and multiplication table.
 
 from __future__ import annotations
 
-from math import gcd
 from operator import getitem
 from typing import Iterable, Sequence
 
@@ -403,11 +402,15 @@ def pi_elements(X: Group | SubgroupRef, pi: Iterable[int]) -> list[int]:
 
 
 def normal_subgroup_masks(X: Group | SubgroupRef) -> tuple[int, ...]:
-    """All X-normal subgroups of X as masks: normal closures of classes, closed under products.
+    """All X-normal subgroups of X as masks, sorted by (order, mask), read
+    off the ambient subgroup lattice (so they share its budget).
 
-    One closure per rational class: x^k with gcd(k, ord x) = 1 generates
-    <x>, so it has the normal closure of x and is marked seen with x's class.
+    For X = G they are the lattice members whose conjugacy class has one
+    member; for a proper X, the members of X's row of subgroups that
+    conjugation by each generator of X maps into themselves.
     """
+    from .lattice import all_subgroups  # lattice imports this module
+
     X = as_ref(X)
     G = X.ambient
     if X.is_full and G._normal_masks is not None:
@@ -415,51 +418,17 @@ def normal_subgroup_masks(X: Group | SubgroupRef) -> tuple[int, ...]:
     cached = G._normal_masks_by_mask.get(X.mask)
     if cached is not None:
         return cached
-    e = G.identity_idx
-    atoms = set()
-    seen_elts = 1 << e
-    conj_rows = [G.conj_row(g) for g in X.gen_idxs]
-    table = G.table
-    orders = G.elt_orders()
-    for x in bits(X.mask):
-        if (seen_elts >> x) & 1:
-            continue
-        # conjugate elements have the same normal closure; mark the whole class
-        orbit = [x]
-        orbit_mask = 1 << x
-        pending = [x]
-        while pending:
-            y = pending.pop()
-            for row in conj_rows:
-                c = row[y]
-                if not (orbit_mask >> c) & 1:
-                    orbit_mask |= 1 << c
-                    orbit.append(c)
-                    pending.append(c)
-        seen_elts |= orbit_mask
-        for c in orbit:
-            row, k, y = table[c], orders[c], c
-            for j in range(2, k):  # mark the generators c^j of <c>
-                y = row[y]  # c^j
-                if gcd(j, k) == 1:
-                    seen_elts |= 1 << y
-        atoms.add(closure_mask(G, orbit))
-    result = {1 << e} | atoms
-    frontier = sorted(atoms)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in sorted(result):
-                if a | b in result:
-                    continue
-                joined = _set_product(table, a, b)
-                if joined not in result:
-                    result.add(joined)
-                    nxt.append(joined)
-        frontier = nxt
-    masks = tuple(sorted(result, key=lambda m: (m.bit_count(), m)))
+    lat = all_subgroups(G)
     if X.is_full:
-        G._normal_masks = masks
+        masks = G._normal_masks = tuple(
+            ref.mask for ref, cid in zip(lat.refs, lat.class_id) if len(lat.classes[cid]) == 1
+        )
+    else:
+        rows = [G.conj_row(g) for g in X.gen_idxs]
+        subs = (lat.refs[j].mask for j in bits(lat.sub_rows[lat.index_of(X)]))
+        masks = tuple(
+            m for m in subs if all((m >> row[x]) & 1 for row in rows for x in bits(m))
+        )
     G._normal_masks_by_mask[X.mask] = masks
     return masks
 

@@ -263,8 +263,8 @@ def test_commutators_and_products_agree_with_pair_oracles():
 
 
 def test_normal_subgroups_agree_with_class_oracle():
-    # one closure per rational class gives the atoms of one closure per
-    # conjugacy class, for the whole group and for every proper subgroup X
+    # the normal subgroups read off the lattice are those of the class
+    # closures closed under products, for the whole group and every proper X
     from flab.corpus import build_corpus
 
     for entry in build_corpus(150):
@@ -275,17 +275,32 @@ def test_normal_subgroups_agree_with_class_oracle():
                 assert normal_subgroup_masks(X) == normal_subgroup_masks_by_classes(X), (entry.name, X.order)
 
 
-@pytest.mark.parametrize("spec, closures", [("S4", 4), ("C12", 5)])
-def test_normal_subgroups_take_one_closure_per_rational_class(monkeypatch, spec, closures):
-    # S4: (12), (12)(34), (123), (1234); C12: one class per element order 2, 3, 4, 6, 12
+@pytest.mark.parametrize("spec", ["E(2^6)", "E(3^4)", "S4", "C12"])
+def test_normal_subgroups_are_read_off_the_lattice(monkeypatch, spec):
+    # once the lattice is built, reading the normal subgroups forms no
+    # closure; in E(p^n) every subgroup is normal, so they are the whole
+    # lattice in its (order, mask) order (the class oracle's product
+    # closure is too slow there, so it is the reference only for S4 and C12)
+    import flab.lattice
     import flab.subgroups
 
     G = make_group(spec)
+    lat = all_subgroups(G)
     calls = []
     real = flab.subgroups.closure_mask
-    monkeypatch.setattr(flab.subgroups, "closure_mask", lambda *a, **k: calls.append(a) or real(*a, **k))
-    normal_subgroup_masks(G)
-    assert len(calls) == closures
+
+    def counted(*a, **k):
+        calls.append(a)
+        return real(*a, **k)
+
+    monkeypatch.setattr(flab.subgroups, "closure_mask", counted)
+    monkeypatch.setattr(flab.lattice, "closure_mask", counted)
+    got = normal_subgroup_masks(G)
+    assert calls == []
+    if spec.startswith("E("):
+        assert got == tuple(ref.mask for ref in lat.refs)
+    else:
+        assert got == normal_subgroup_masks_by_classes(G)
 
 
 def test_orbit_stabilizer_invariant(s4):
