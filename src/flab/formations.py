@@ -33,7 +33,7 @@ from .subgroups import (
     o_pi,
     o_pi_up,
     p_part,
-    pi_elements,
+    pi_element_mask,
     prime_factors,
     subgroup_from_mask,
 )
@@ -300,16 +300,13 @@ def _cross_member_ref(F: Cross, X: SubgroupRef) -> bool:
     parts = []
     for block in blocks:
         pi = block.primes.intersection(primes)
-        elements = pi_elements(X, pi)
-        if len(elements) != prod(p_part(order, p) for p in pi):
+        mask = pi_element_mask(X, pi)
+        if mask.bit_count() != prod(p_part(order, p) for p in pi):
             return False
-        parts.append((block, elements))
+        parts.append((block, mask))
     G = X.ambient
-    for block, elements in parts:
-        mask = 0
-        for x in elements:
-            mask |= 1 << x
-        if closure_mask(G, elements, stop_above=len(elements)) != mask:
+    for block, mask in parts:
+        if closure_mask(G, bits(mask), stop_above=mask.bit_count()) != mask:
             return False
         if not formation_member(block, subgroup_from_mask(G, mask)):
             return False

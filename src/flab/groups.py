@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, count, repeat
 from math import gcd, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -69,8 +69,22 @@ def p_part(n: int, p: int) -> int:
     return q
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def bits(mask: int) -> Iterator[int]:
-    """Iterate set bit positions in ascending order."""
+    """Iterate set bit positions in ascending order.
+
+    A sparse mask (fewer than one set bit in eight) is walked one lowest bit
+    at a time; a denser one is decoded in C, its binary digits, reversed and
+    read as 0/1 flags, selecting from the positions 0, 1, 2, ...
+    """
+    if mask.bit_count() * 8 < mask.bit_length():
+        return _sparse_bits(mask)
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
+
+
+def _sparse_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -260,6 +274,7 @@ class Group:
         self._central_verdicts: dict[tuple, bool] = {}
         self._minimal_above: dict[int, tuple[int, ...]] = {}
         self._class_memo: dict[tuple, dict[int, object]] = {}
+        self._pi_masks: dict[frozenset[int], int] = {}
 
     @classmethod
     def from_gen_rows(
@@ -290,13 +305,24 @@ class Group:
     def release_working_set(self) -> None:
         """Free what this group's checks built and can build again: its
         cached quotients X/N (with everything cached on them), its
-        factor-action products and conjugation rows, and its table and
-        inverses, which the next read rebuilds from its generators' rows.
-        Its own lattice, hypercenters and class memos stay."""
-        self._quotients.clear()
-        self._factor_products.clear()
-        self._conj_rows = {}
-        self._table = self._inv = None
+        factor-action products, conjugation rows and pi-element masks, and
+        its table and inverses, which the next read rebuilds from its
+        generators' rows.  Its own lattice, hypercenters and class memos stay.
+
+        The quotients and products it drops have their working sets freed
+        too: each is held in reference cycles (its subgroups name it as their
+        ambient group), so its table would otherwise stay until the cycle
+        collector next runs.
+        """
+        groups = [self]
+        for G in groups:  # grows by the quotients and products each one drops
+            groups += [qm.group for qm in G._quotients.values()]
+            groups += G._factor_products.values()
+            G._quotients.clear()
+            G._factor_products.clear()
+            G._conj_rows = {}
+            G._pi_masks.clear()
+            G._table = G._inv = None
 
     # -- basic structure ----------------------------------------------------
 

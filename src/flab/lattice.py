@@ -14,13 +14,23 @@ from H is skipped, which is exact because no subgroup lies strictly between
 H and a join of prime index over it.  Only an insoluble group gets a second
 sweep that joins each representative with every atom orbit still unseen.
 The result is exactly the set of all subgroups, found once each.
+
+The hot loops work on whole masks.  The cyclic seeds are power walks along
+the table, with no closure.  A representative alone in its class has
+normalizer G, so no normalizer is computed for it.  Each representative's
+seen atoms are one int, and a sweep iterates only the unseen ones.  A
+normalizer generator central in G fixes every atom, so it is left out of
+the orbit walk; when none is left, a join marks its atoms seen with one OR.
+In an abelian group no conjugacy class is walked, as each has one member.
+The containment row of a subgroup ANDs the columns of its atoms (the
+subgroups holding each) and stops as soon as no subgroup of lower index is
+left in the row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import and_
+from functools import cache
 
 from . import config
 from .errors import LatticeBudgetExceeded
@@ -78,26 +88,34 @@ class SubgroupLattice:
 def _cyclic_subgroups(G: Group) -> dict[int, int]:
     """Mask of each nontrivial cyclic subgroup -> its lowest-index generator.
 
-    Elements are scanned in index order; once <x> is found, every generator
-    of it (an element of <x> of the same order) is skipped.
+    Elements are scanned in index order.  For each x not yet covered, <x> is
+    walked power by power along x's table row: each power is ORed into its
+    mask, and those of x's order (the generators of <x>) are marked covered,
+    so each cyclic subgroup is walked once, from its lowest-index generator,
+    and no closure is formed.
     """
     e = G.identity_idx
+    table, orders = G.table, G.elt_orders()
     out: dict[int, int] = {}
-    covered = 1 << e
+    covered = bytearray(G.order)
+    covered[e] = 1
     for x in range(G.order):
-        if (covered >> x) & 1:
+        if covered[x]:
             continue
-        m = closure_mask(G, [x])
-        o = G.elt_order(x)
+        o, row = orders[x], table[x]
+        m, y = 1 << e, x
+        while y != e:
+            m |= 1 << y
+            if orders[y] == o:
+                covered[y] = 1
+            y = row[y]
         out[m] = x
-        for y in bits(m):
-            if G.elt_order(y) == o:
-                covered |= 1 << y
     return out
 
 
-def _enumerate_subgroups(G: Group) -> list[list[int]]:
-    """The conjugacy classes of subgroups of G, each as the masks of its members.
+def _enumerate_subgroups(G: Group) -> tuple[list[list[int]], int]:
+    """The conjugacy classes of subgroups of G, each as the masks of its
+    members, and the mask of the atoms' names.
 
     A class representative H is joined with atoms a outside it, one per
     N_G(H)-orbit, as <H, a>^g = <H, a^g> for g in N_G(H) (Cannon, Cox & Holt,
@@ -117,6 +135,12 @@ def _enumerate_subgroups(G: Group) -> list[list[int]]:
       still unseen from every representative, each representative keeping
       its normalizer and seen atoms from the first sweep.  Every subgroup is
       generated by atoms, so this finds the rest.
+
+    N_G(H) is G, with G's generators, for a representative alone in its
+    class; otherwise it is computed, and generated by H's generators and
+    each element of it outside their closure.  The orbits are walked under
+    those generators that are not central in G, as a central one fixes
+    every atom; when G is abelian, no class is walked.
     """
     n = G.order
     e = G.identity_idx
@@ -128,30 +152,40 @@ def _enumerate_subgroups(G: Group) -> list[list[int]]:
     # seed: all cyclic subgroups; atoms: the prime-power ones, each with a^p
     cyclic_masks = _cyclic_subgroups(G)
     orders = G.elt_orders()
-    owner = [e] * n  # each generator of a cyclic subgroup -> the subgroup's name
+    owner = [e] * n  # each generator of an atom -> the atom's name
     atom_mask = 0
     pth_power = [e] * n
     for m, x in cyclic_masks.items():
-        for y in bits(m):
-            if orders[y] == orders[x]:
-                owner[y] = x
         primes = prime_factors(orders[x])
         if len(primes) == 1:
+            for y in bits(m):
+                if orders[y] == orders[x]:
+                    owner[y] = x
             atom_mask |= 1 << x
             row, y = table[x], x
             for _ in range(primes[0] - 1):
                 y = row[y]
             pth_power[x] = y
 
+    g_gens = G.gen_idxs()
+
+    @cache
+    def noncentral(g: int) -> bool:
+        """Whether g fails to commute with a generator of G; conjugating by a
+        central g fixes every subgroup."""
+        return any(table[s][g] != table[g][s] for s in g_gens)
+
+    abelian = not any(map(noncentral, g_gens))  # then every class has one member
     found: set[int] = {1 << e}
     orbits: list[list[int]] = [[1 << e]]
     rep_gens: dict[int, tuple[int, ...]] = {}
+    normal: set[int] = set()  # representatives whose class has one member: N_G(H) = G
     queue: list[int] = []
 
     def add_class(mask: int, gens: tuple[int, ...]) -> None:
         if mask in found:
             return
-        orbit = conjugacy_orbit(G, mask)
+        orbit = [mask] if abelian else conjugacy_orbit(G, mask)
         found.update(orbit)
         if len(found) > config.LATTICE_SUBGROUP_BUDGET:  # counts the whole class
             raise LatticeBudgetExceeded(
@@ -159,14 +193,16 @@ def _enumerate_subgroups(G: Group) -> list[list[int]]:
             )
         orbits.append(orbit)
         rep_gens[mask] = gens
+        if len(orbit) == 1:
+            normal.add(mask)
         queue.append(mask)
 
-    add_class(full_mask, G.gen_idxs())
+    add_class(full_mask, g_gens)
     for m in sorted(cyclic_masks):
         add_class(m, (cyclic_masks[m],))
 
-    # rep -> (N_G(H), its generators' conjugation rows, atoms already joined or skipped)
-    rep_state: dict[int, tuple[int, list, bytearray]] = {}
+    # rep -> (N_G(H), its noncentral generators' conjugation rows, atoms already joined or skipped)
+    rep_state: dict[int, tuple[int, list, int]] = {}
     joins = 0
 
     def join_orbits(rep: int, extension_only: bool) -> bool:
@@ -176,25 +212,26 @@ def _enumerate_subgroups(G: Group) -> list[list[int]]:
         gens = rep_gens[rep]
         state = rep_state.get(rep)
         if state is None:
-            # generators of N_G(H): G's if H is normal, else H's, then each element
-            # of N_G(H) outside their closure (the orbits do not depend on the choice)
-            norm_mask = normalizer(G, subgroup_from_mask(G, rep, gens)).mask
-            if norm_mask == full_mask:
-                norm_gens, have = list(G.gen_idxs()), full_mask
+            if rep in normal:
+                norm_mask, norm_gens = full_mask, list(g_gens)
             else:
+                # generators of N_G(H) < G: H's, then each element of N_G(H) outside
+                # their closure (the orbits do not depend on the choice)
+                norm_mask = normalizer(G, subgroup_from_mask(G, rep, gens)).mask
                 norm_gens, have = list(gens), rep
-            for x in bits(norm_mask):
-                if have == norm_mask:
-                    break
-                if not (have >> x) & 1:
-                    norm_gens.append(x)
-                    have = closure_mask(G, norm_gens, base=have)
-            conj = [(table[g], inv[g]) for g in norm_gens]  # x^g = table[g][table[x][inv[g]]]
-            state = rep_state[rep] = (norm_mask, conj, bytearray(n))
+                for x in bits(norm_mask & ~rep):
+                    if have == norm_mask:
+                        break
+                    if not (have >> x) & 1:
+                        norm_gens.append(x)
+                        have = closure_mask(G, norm_gens, base=have)
+            # x^g = table[g][table[x][inv[g]]]
+            conj = [(table[g], inv[g]) for g in norm_gens if noncentral(g)]
+            state = (norm_mask, conj, 0)
         norm_mask, conj, seen = state
         reached = False
-        for a in bits((norm_mask if extension_only else full_mask) & atom_mask & ~rep):
-            if seen[a]:
+        for a in bits((norm_mask if extension_only else full_mask) & atom_mask & ~rep & ~seen):
+            if (seen >> a) & 1:  # in an orbit marked since the sweep began
                 continue
             extension = (norm_mask >> a) & 1 and (rep >> pth_power[a]) & 1
             if extension_only and not extension:
@@ -206,18 +243,23 @@ def _enumerate_subgroups(G: Group) -> list[list[int]]:
             add_class(joined, tuple(sorted(set(gens) | {a})))
             reached = reached or joined == full_mask
             # <H, b> = H<a> for every atom b of H<a> outside H: their orbits need no join
-            for b in (bits(joined & atom_mask & ~rep) if extension else (a,)):
-                if seen[b]:
+            marked = joined & atom_mask & ~rep if extension else 1 << a
+            if not conj:  # every orbit is one atom
+                seen |= marked
+                continue
+            for b in bits(marked & ~seen):
+                if (seen >> b) & 1:
                     continue
-                seen[b] = 1
+                seen |= 1 << b
                 pending = [b]
                 while pending:  # the rest of b's orbit
                     row = table[pending.pop()]
                     for row_g, g_inv in conj:
                         c = owner[row_g[row[g_inv]]]
-                        if not seen[c]:
-                            seen[c] = 1
+                        if not (seen >> c) & 1:
+                            seen |= 1 << c
                             pending.append(c)
+        rep_state[rep] = (norm_mask, conj, seen)
         return reached
 
     reached = n == 1  # the unit group is soluble
@@ -231,7 +273,7 @@ def _enumerate_subgroups(G: Group) -> list[list[int]]:
             rep = queue.pop()
             if rep != full_mask:
                 join_orbits(rep, False)
-    return orbits
+    return orbits, atom_mask
 
 
 def all_subgroups(G: Group | SubgroupRef) -> SubgroupLattice:
@@ -240,20 +282,33 @@ def all_subgroups(G: Group | SubgroupRef) -> SubgroupLattice:
         G = G.ambient
     if G._lattice is not None:
         return G._lattice
-    orbits = _enumerate_subgroups(G)
+    orbits, atom_mask = _enumerate_subgroups(G)
     masks = sorted((m for orbit in orbits for m in orbit), key=lambda m: (m.bit_count(), m))
     refs = tuple(subgroup_from_mask(G, m) for m in masks)
     index_of_mask = {m: i for i, m in enumerate(masks)}
 
     count = len(refs)
-    cols = [0] * G.order  # bit i set: element x lies in refs[i]
+    full_row = (1 << count) - 1
+    cols = [0] * G.order  # bit i set: the atom named x (its lowest-index generator) lies in refs[i]
     for i, m in enumerate(masks):
         bit = 1 << i
-        for x in bits(m):
+        for x in bits(m & atom_mask):
             cols[x] |= bit
-    # the subgroups containing refs[i] are those containing each of its members;
-    # all come at or after i, as one of equal order containing it is it
-    sup_rows = [reduce(and_, map(cols.__getitem__, bits(m))) for m in masks]
+    # refs[i] is generated by its atoms, so the subgroups containing it are those
+    # containing each atom; all lie at position i or after, as one of equal order
+    # containing it is it.  The row can stop early: the atoms read so far generate
+    # some K <= refs[i], and the row holds exactly the subgroups containing K, K
+    # included.  Once no position below i is left, K's position is at least i, so
+    # K is not smaller than refs[i] (refs is sorted by order) and K = refs[i].
+    sup_rows = []
+    for i, m in enumerate(masks):
+        below = (1 << i) - 1
+        row = full_row
+        for x in bits(m & atom_mask):
+            row &= cols[x]
+            if not row & below:
+                break
+        sup_rows.append(row)
     sub_rows = [0] * count
     for i, row in enumerate(sup_rows):
         bit = 1 << i

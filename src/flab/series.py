@@ -18,7 +18,7 @@ from .subgroups import (
     normal_subgroup_masks,
     o_pi,
     p_part,
-    pi_elements,
+    pi_element_mask,
     prime_factors,
     subgroup_from_mask,
     trivial_subgroup,
@@ -210,12 +210,13 @@ def is_nilpotent(X: Group | SubgroupRef) -> bool:
     A Sylow p-subgroup has |X|_p elements, all of p-power order, so the count
     is |X|_p exactly when every p-element lies in one Sylow p-subgroup, which
     is then normal; X is nilpotent iff all its Sylow subgroups are normal.
-    One pass over the element orders per prime; no subgroup is built.  The Sylow
-    normality test it replaced is ``tests/oracles.py::is_nilpotent_by_sylow``.
+    One AND and bit count per prime, against G's p-element mask (memoised on
+    G); no subgroup is built.  The Sylow normality test it replaced is
+    ``tests/oracles.py::is_nilpotent_by_sylow``.
     """
     X = as_ref(X)
     order = X.order
     primes = prime_factors(order)
     if len(primes) < 2:
         return True
-    return all(len(pi_elements(X, [p])) == p_part(order, p) for p in primes)
+    return all(pi_element_mask(X, [p]).bit_count() == p_part(order, p) for p in primes)

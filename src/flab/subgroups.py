@@ -387,13 +387,18 @@ def _set_product(table, a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def pi_elements(X: Group | SubgroupRef, pi: Iterable[int]) -> list[int]:
-    """The element indices of X whose orders are pi-numbers, the identity included."""
+def pi_element_mask(X: Group | SubgroupRef, pi: Iterable[int]) -> int:
+    """The mask of the elements of X whose orders are pi-numbers, the identity
+    included: X's mask ANDed with that of G's pi-elements, memoised on G per pi."""
     X = as_ref(X)
+    G = X.ambient
     pi = frozenset(pi)
-    orders = X.ambient.elt_orders()
-    pi_orders = {o for o in set(orders) if pi.issuperset(prime_factors(o))}
-    return [x for x in _members(X) if orders[x] in pi_orders]
+    mask = G._pi_masks.get(pi)
+    if mask is None:
+        orders = G.elt_orders()
+        pi_orders = {o for o in set(orders) if pi.issuperset(prime_factors(o))}
+        mask = G._pi_masks[pi] = sum(1 << x for x, o in enumerate(orders) if o in pi_orders)
+    return X.mask & mask
 
 
 # ---------------------------------------------------------------------------

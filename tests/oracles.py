@@ -197,8 +197,17 @@ def _smallest_prime_factor(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Reference index-level kernels.  These keep the plain algorithms that the
 # library's closure kernel replaced; products go through Permutation objects
-# and the element list, never through the multiplication table.
+# and the element list, never through the multiplication table.  The bit walk
+# is the one ``groups.bits`` keeps for sparse masks only.
 # ---------------------------------------------------------------------------
+
+
+def bits_by_lowest_bit(mask: int):
+    """Set bit positions in ascending order, one lowest bit at a time."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def closure_mask_bfs(G, seed_idxs, stop_above=None) -> int:

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from flab.errors import ActionError, CapExceeded, NotNormal, OrderCapExceeded, S
 from flab.groups import (
     Group,
     StabilizerChain,
+    bits,
     cyclic,
     dihedral,
     direct_product,
@@ -26,12 +28,49 @@ from flab.lattice import all_subgroups
 from flab.subgroups import commutator_subgroup, full_subgroup, subgroup_from_idxs
 
 from .oracles import (
+    bits_by_lowest_bit,
     closure,
     commutator_gens,
     element_order_histogram,
     elements_of,
     semidirect_action_by_maps,
 )
+
+
+# -- bit iteration: the C decoding of dense masks and the lowest-bit walk -----
+
+
+def _bit_masks():
+    """0, single bits, masks at the density threshold (one set bit in eight)
+    and a bit either side of it, full masks of every width up to the order
+    cap, and random masks under a fixed seed."""
+    yield 0
+    for k in (0, 1, 7, 8, 63, 64, 65, 1999, config.ORDER_CAP):
+        yield 1 << k
+    for width in (8, 64, 200, 2000):
+        for ones in range(width // 8 - 2, width // 8 + 3):
+            if ones > 0:
+                spread = sum(1 << (width - 1 - (k * width) // ones) for k in range(ones))
+                yield spread
+                yield spread | 1
+    for width in range(1, config.ORDER_CAP + 1):
+        yield (1 << width) - 1
+    rng = random.Random(20)
+    for _ in range(500):
+        width = rng.randint(1, config.ORDER_CAP)
+        density = rng.choice((0.01, 0.1, 0.125, 0.2, 0.5, 0.9))
+        yield sum(1 << k for k in range(width) if rng.random() < density)
+
+
+def test_bits_matches_lowest_bit_walk():
+    sparse = dense = 0
+    for mask in _bit_masks():
+        assert list(bits(mask)) == list(bits_by_lowest_bit(mask)), mask
+        if mask.bit_count() * 8 < mask.bit_length():
+            sparse += 1
+        else:
+            dense += 1
+    assert sparse > 100 and dense > 100  # both decodings ran
 
 
 # -- orders: the enumeration and the stabilizer-chain oracle ------------------

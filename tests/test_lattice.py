@@ -68,8 +68,11 @@ def test_conjugation_closure():
             assert cm in masks
 
 
-def test_containment_consistency():
-    G = make_group("SL(2,3)")
+# C2 x S4, D200 and E(2^4) have many subgroups of one order, where the
+# containment rows stop early
+@pytest.mark.parametrize("spec", ["SL(2,3)", "S5", "D200", "E(2^4)", "C2 x S4"])
+def test_containment_consistency(spec):
+    G = make_group(spec)
     lat = all_subgroups(G)
     for i, a in enumerate(lat.refs):
         for j, b in enumerate(lat.refs):
@@ -218,7 +221,9 @@ def _record_joins(G, monkeypatch):
     return [(rep, atom, joined, _is_extension(rep, norms[rep], atom)) for rep, atom, joined in raw], norms
 
 
-@pytest.mark.parametrize("spec", ["S4", "A5", "SL(2,3)"])
+# in E(2^4) every normalizer generator is central, so a join marks its atoms
+# seen at once; in D12 some are central and some are not
+@pytest.mark.parametrize("spec", ["S4", "A5", "SL(2,3)", "E(2^4)", "D12"])
 def test_each_representative_joins_one_atom_per_normalizer_orbit(spec, monkeypatch):
     G = make_group(spec)
     joins, norms = _record_joins(G, monkeypatch)

@@ -283,6 +283,21 @@ def test_release_frees_the_table_of_every_group():
         assert [H.conj_row(g) for g in range(H.order)] == conj_rows, H.name
 
 
+def test_release_frees_the_tables_of_the_quotients_and_products_it_drops():
+    # a dropped quotient or product is held in reference cycles, so its table
+    # is freed by the release itself, not left to the cycle collector
+    G = make_group("S4")
+    V4 = next(m for m in normal_subgroup_masks(G) if m.bit_count() == 4)
+    Q = quotient(G, V4, gens_for_mask(G, V4)).group
+    factor = next(f for f in chief_factors(G) if f.below.order == 1 and f.above.order == 4)
+    W = build_factor_action_product(G, factor)
+    assert Q.table and W.table and G._quotients and G._factor_products
+    G.release_working_set()
+    assert not G._quotients and not G._factor_products
+    for H in (Q, W):
+        assert H._table is None and H._inv is None and not H._conj_rows, H.name
+
+
 # -- oracle products, and a section that builds no table --------------------------
 
 
